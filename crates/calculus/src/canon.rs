@@ -7,20 +7,28 @@
 //! identical up to renaming of variables, so the compiler keys its map
 //! registry by the canonical string produced here.
 //!
-//! The canonicalization renames the map's key variables positionally
-//! (`__K0`, `__K1`, ...), sorts product factors by a name-insensitive
-//! structural key, and then renames every remaining variable in traversal
-//! order (`__V0`, `__V1`, ...). A failure to identify two structurally
-//! equal definitions merely creates a duplicate map (a missed
-//! optimization, never an error), so ties in the factor ordering are
-//! acceptable.
+//! The canonicalization sorts product factors by a name-insensitive
+//! structural key, renames the map's key variables positionally (`__K0`,
+//! `__K1`, ...), and then renames every remaining variable in traversal
+//! order (`__V0`, `__V1`, ...). The form itself is positional in the keys;
+//! the compiler makes sharing invariant under key order too (as the
+//! higher-order follow-up does) by first putting a new map's keys in
+//! [`canonical_key_order`] — each key's first occurrence in the sorted
+//! body — so the same map requested under any permutation of its key
+//! list gets one form and one declared key order. Factors of equal
+//! structure are ordered by the relation slots their variables occupy, so
+//! `[C_REGION = 'AMERICA'] * [S_REGION = 'AMERICA']` sorts the same way
+//! whichever filter the query wrote first. A failure to identify two
+//! structurally equal definitions merely creates a duplicate map (a missed
+//! optimization, never an error), so remaining ties in the factor ordering
+//! are acceptable.
 
 use std::collections::BTreeMap;
 
 use crate::expr::{CalcExpr, Var};
 
 /// Produce a canonical string for a map definition with the given key
-/// variables.
+/// variables. Positional in the keys: `__K<i>` names `keys[i]`.
 pub fn canonical_form(keys: &[Var], definition: &CalcExpr) -> String {
     let sorted = sort_structurally(definition);
     let mut renaming: BTreeMap<Var, Var> = BTreeMap::new();
@@ -28,9 +36,25 @@ pub fn canonical_form(keys: &[Var], definition: &CalcExpr) -> String {
         renaming.insert(k.clone(), format!("__K{i}"));
     }
     let mut counter = 0usize;
-    assign_names(&sorted, &mut renaming, &mut counter);
+    for v in occurrence_order(&sorted) {
+        renaming.entry(v).or_insert_with(|| {
+            counter += 1;
+            format!("__V{}", counter - 1)
+        });
+    }
     let renamed = sorted.rename(&|v| renaming.get(v).cloned());
     format!("[{}] {renamed}", keys.len())
+}
+
+/// `keys` reordered by each key's first occurrence in the structurally
+/// sorted definition (keys it never mentions go last, in caller order).
+/// Every permutation of one key list comes back in the same order, so
+/// [`canonical_form`] over the result identifies maps up to key order.
+pub fn canonical_key_order(keys: &[Var], definition: &CalcExpr) -> Vec<Var> {
+    let order = occurrence_order(&sort_structurally(definition));
+    let mut keys = keys.to_vec();
+    keys.sort_by_key(|k| order.iter().position(|v| v == k).unwrap_or(usize::MAX));
+    keys
 }
 
 /// Recursively sort the factors of products and the terms of sums by a
@@ -40,7 +64,17 @@ fn sort_structurally(expr: &CalcExpr) -> CalcExpr {
     match expr {
         CalcExpr::Prod(fs) => {
             let mut sorted: Vec<CalcExpr> = fs.iter().map(sort_structurally).collect();
-            sorted.sort_by_key(structural_key);
+            // Factors of equal structure (two region filters, the atoms of
+            // a self-join) are told apart by where their variables sit in
+            // the product's relation and map atoms — also name-insensitive.
+            let anchors = atom_positions(&sorted);
+            sorted.sort_by_cached_key(|f| {
+                let anchored: Vec<&[String]> = occurrence_order(f)
+                    .iter()
+                    .map(|v| anchors.get(v).map_or(&[][..], Vec::as_slice))
+                    .collect();
+                (structural_key(f), anchored)
+            });
             CalcExpr::Prod(sorted)
         }
         CalcExpr::Sum(ts) => {
@@ -60,6 +94,26 @@ fn sort_structurally(expr: &CalcExpr) -> CalcExpr {
         CalcExpr::Exists(e) => CalcExpr::Exists(Box::new(sort_structurally(e))),
         other => other.clone(),
     }
+}
+
+/// Each variable's `relation.position` slots among the relation atoms and
+/// map references of one product.
+fn atom_positions(factors: &[CalcExpr]) -> BTreeMap<Var, Vec<String>> {
+    let mut anchors: BTreeMap<Var, Vec<String>> = BTreeMap::new();
+    for factor in factors {
+        if let CalcExpr::Rel { name, vars } | CalcExpr::MapRef { name, keys: vars } = factor {
+            for (i, v) in vars.iter().enumerate() {
+                anchors
+                    .entry(v.clone())
+                    .or_default()
+                    .push(format!("{name}.{i}"));
+            }
+        }
+    }
+    for slots in anchors.values_mut() {
+        slots.sort();
+    }
+    anchors
 }
 
 /// A sort key that depends only on structure (node kind, relation / map
@@ -91,51 +145,37 @@ fn structural_key(expr: &CalcExpr) -> String {
     }
 }
 
-/// Assign canonical names to variables in traversal order.
-fn assign_names(expr: &CalcExpr, renaming: &mut BTreeMap<Var, Var>, counter: &mut usize) {
-    let visit = |v: &Var, renaming: &mut BTreeMap<Var, Var>, counter: &mut usize| {
-        if !renaming.contains_key(v) {
-            renaming.insert(v.clone(), format!("__V{counter}"));
-            *counter += 1;
-        }
-    };
-    match expr {
-        CalcExpr::Val(v) => {
-            for var in ordered_vars(v) {
-                visit(&var, renaming, counter);
+/// Variables in order of first occurrence (pre-order traversal),
+/// deduplicated.
+fn occurrence_order(expr: &CalcExpr) -> Vec<Var> {
+    fn walk(expr: &CalcExpr, out: &mut Vec<Var>) {
+        let (own, children): (Vec<Var>, Vec<&CalcExpr>) = match expr {
+            CalcExpr::Val(v) => (ordered_vars(v), Vec::new()),
+            CalcExpr::Cmp { left, right, .. } => {
+                let mut vars = ordered_vars(left);
+                vars.extend(ordered_vars(right));
+                (vars, Vec::new())
+            }
+            CalcExpr::Rel { vars, .. } | CalcExpr::MapRef { keys: vars, .. } => {
+                (vars.clone(), Vec::new())
+            }
+            CalcExpr::Prod(fs) | CalcExpr::Sum(fs) => (Vec::new(), fs.iter().collect()),
+            CalcExpr::Neg(e) | CalcExpr::Exists(e) => (Vec::new(), vec![&**e]),
+            CalcExpr::AggSum { group, body } => (group.clone(), vec![&**body]),
+            CalcExpr::Lift { var, body } => (vec![var.clone()], vec![&**body]),
+        };
+        for v in own {
+            if !out.contains(&v) {
+                out.push(v);
             }
         }
-        CalcExpr::Cmp { left, right, .. } => {
-            for var in ordered_vars(left).into_iter().chain(ordered_vars(right)) {
-                visit(&var, renaming, counter);
-            }
-        }
-        CalcExpr::Rel { vars, .. }
-        | CalcExpr::MapRef {
-            name: _,
-            keys: vars,
-        } => {
-            for v in vars {
-                visit(v, renaming, counter);
-            }
-        }
-        CalcExpr::Prod(fs) | CalcExpr::Sum(fs) => {
-            for f in fs {
-                assign_names(f, renaming, counter);
-            }
-        }
-        CalcExpr::Neg(e) | CalcExpr::Exists(e) => assign_names(e, renaming, counter),
-        CalcExpr::AggSum { group, body } => {
-            for g in group {
-                visit(g, renaming, counter);
-            }
-            assign_names(body, renaming, counter);
-        }
-        CalcExpr::Lift { var, body } => {
-            visit(var, renaming, counter);
-            assign_names(body, renaming, counter);
+        for child in children {
+            walk(child, out);
         }
     }
+    let mut out = Vec::new();
+    walk(expr, &mut out);
+    out
 }
 
 fn ordered_vars(v: &crate::expr::ValExpr) -> Vec<Var> {
@@ -186,10 +226,93 @@ mod tests {
 
     #[test]
     fn key_position_matters() {
+        // Different key variables stay different maps, with or without
+        // canonical key ordering.
         let def = CalcExpr::agg_sum(vec![], CalcExpr::rel("S", vec!["B", "C"]));
-        let by_b = canonical_form(&["B".to_string()], &def);
-        let by_c = canonical_form(&["C".to_string()], &def);
+        let form = |key: &str| {
+            let keys = vec![key.to_string()];
+            let ordered = canonical_form(&canonical_key_order(&keys, &def), &def);
+            (canonical_form(&keys, &def), ordered)
+        };
+        let (by_b, by_b_ordered) = form("B");
+        let (by_c, by_c_ordered) = form("C");
         assert_ne!(by_b, by_c);
+        assert_ne!(by_b_ordered, by_c_ordered);
+    }
+
+    /// Every ordering of `items`.
+    fn permutations(items: &[&str]) -> Vec<Vec<Var>> {
+        if items.is_empty() {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for (i, first) in items.iter().enumerate() {
+            let mut rest = items.to_vec();
+            rest.remove(i);
+            for mut tail in permutations(&rest) {
+                tail.insert(0, first.to_string());
+                out.push(tail);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_key_order_of_a_projection_has_one_form() {
+        // sum(LO_REVENUE) of LINEORDER keyed by its four foreign keys: the
+        // 24 key orders are one map, declared in first-occurrence order.
+        let def = CalcExpr::product(vec![
+            CalcExpr::Val(ValExpr::var("REV")),
+            CalcExpr::rel("LINEORDER", vec!["O", "C", "S", "P", "D", "REV", "COST"]),
+        ]);
+        let orders = permutations(&["C", "S", "P", "D"]);
+        assert_eq!(orders.len(), 24);
+        let forms: std::collections::BTreeSet<String> = orders
+            .iter()
+            .map(|keys| {
+                let ordered = canonical_key_order(keys, &def);
+                assert_eq!(ordered, ["C", "S", "P", "D"]);
+                canonical_form(&ordered, &def)
+            })
+            .collect();
+        assert_eq!(forms.len(), 1, "{forms:?}");
+        // Positionally, the permutations are still distinct forms.
+        let positional: std::collections::BTreeSet<String> = orders
+            .iter()
+            .map(|keys| canonical_form(keys, &def))
+            .collect();
+        assert_eq!(positional.len(), 24);
+    }
+
+    #[test]
+    fn equal_filters_are_ordered_by_the_atoms_they_constrain() {
+        // Two `= 'AMERICA'` filters tie structurally; swapping them (a
+        // reordered WHERE clause) must not change the form.
+        let region = |v: &str| CalcExpr::Cmp {
+            op: crate::expr::CmpOp::Eq,
+            left: ValExpr::var(v),
+            right: ValExpr::Const(dbtoaster_common::Value::str("AMERICA")),
+        };
+        let def = |first: &str, second: &str| {
+            CalcExpr::product(vec![
+                region(first),
+                region(second),
+                CalcExpr::rel("CUSTOMER", vec!["CK", "CN", "CR"]),
+                CalcExpr::rel("SUPPLIER", vec!["SK", "SN", "SR"]),
+            ])
+        };
+        let keys: Vec<Var> = vec!["CN".into()];
+        assert_eq!(
+            canonical_form(&keys, &def("CR", "SR")),
+            canonical_form(&keys, &def("SR", "CR"))
+        );
+    }
+
+    #[test]
+    fn keys_the_definition_never_mentions_go_last() {
+        let def = CalcExpr::rel("S", vec!["B", "C"]);
+        let keys: Vec<Var> = ["X", "C", "B"].map(String::from).to_vec();
+        assert_eq!(canonical_key_order(&keys, &def), ["B", "C", "X"]);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   constraints, factorization out of `AggSum`, and the other rewrite
 //!   rules that make recursive compilation produce asymptotically simpler
 //!   maintenance code,
-//! * [`canon`] — canonical forms used to detect map-sharing opportunities
-//!   across event handlers.
+//! * [`canon`] — canonical forms and canonical key orders used to detect
+//!   map-sharing opportunities across event handlers.
 
 pub mod canon;
 pub mod delta;
@@ -25,7 +25,7 @@ pub mod expr;
 pub mod simplify;
 pub mod translate;
 
-pub use canon::canonical_form;
+pub use canon::{canonical_form, canonical_key_order};
 pub use delta::{delta, trigger_args};
 pub use expr::{CalcExpr, CmpOp, ValExpr, Var};
 pub use simplify::{simplify, to_polynomial, Polynomial, Term};

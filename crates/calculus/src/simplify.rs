@@ -11,7 +11,9 @@
 //!    protected (not a group variable, trigger argument or output key) is
 //!    eliminated by renaming `x := y` everywhere in the term; constant
 //!    comparisons are decided; tautologies `[x = x]` vanish; contradictory
-//!    constant comparisons annihilate the term.
+//!    constant comparisons annihilate the term, and so do two different
+//!    constant pins on one variable (`[x = 'a'] * [x = 'b']`, the `a ∧ b`
+//!    term of an `OR` over one column), while a repeated pin is dropped.
 //! 3. **`AggSum` factorization** — factors that do not depend on the
 //!    summed-over variables are pulled out of the aggregation (this is the
 //!    rewrite that turns `Δq = sum_{A·D}({⟨a,b⟩} ⋈ S ⋈ T)` into
@@ -428,6 +430,9 @@ fn simplify_term(mut term: Term, protected: &BTreeSet<Var>) -> Option<Term> {
             break;
         }
     }
+    if !fold_constant_pins(&mut term.factors) {
+        return None;
+    }
 
     // Fold constant-valued Val factors into the coefficient.
     let mut coeff = term.coeff.clone();
@@ -491,6 +496,64 @@ fn classify_equality(factor: &CalcExpr, protected: &BTreeSet<Var>) -> EqAction {
         }
         _ => EqAction::Keep,
     }
+}
+
+/// Fold repeated constant pins on one variable: `[v = a] * [v = b]` keeps
+/// only `[v = a]` when `a` and `b` compare equal and annihilates the term
+/// (returns false) when they compare unequal — decided by the
+/// `Value::compare` the runtime evaluates both pins with, so the fold is
+/// exact. Pins whose constants do not compare (mixed types, NaN, NULL) stay,
+/// and so do integers of magnitude 2^53 or more, past which the runtime's
+/// `f64` cross-type comparison is no longer transitive.
+fn fold_constant_pins(factors: &mut Vec<CalcExpr>) -> bool {
+    let mut pins: Vec<(Var, Value)> = Vec::new();
+    let mut i = 0;
+    while i < factors.len() {
+        if let Some((var, value)) = constant_pin(&factors[i]) {
+            let mut duplicate = false;
+            for (_, earlier) in pins.iter().filter(|(v, _)| *v == var) {
+                match same_pin(earlier, &value) {
+                    Some(true) => duplicate = true,
+                    Some(false) => return false,
+                    None => {}
+                }
+            }
+            if duplicate {
+                factors.remove(i);
+                continue;
+            }
+            pins.push((var, value));
+        }
+        i += 1;
+    }
+    true
+}
+
+/// `[v = c]` or `[c = v]` with `c` constant.
+fn constant_pin(factor: &CalcExpr) -> Option<(Var, Value)> {
+    let CalcExpr::Cmp {
+        op: CmpOp::Eq,
+        left,
+        right,
+    } = factor
+    else {
+        return None;
+    };
+    match (left, right) {
+        (ValExpr::Var(v), c) | (c, ValExpr::Var(v)) => Some((v.clone(), c.fold_const()?)),
+        _ => None,
+    }
+}
+
+/// Whether the pins `[v = a]` and `[v = b]` hold for the same `v`
+/// (`Some(true)`), never hold together (`Some(false)`), or neither can be
+/// said (`None`).
+fn same_pin(a: &Value, b: &Value) -> Option<bool> {
+    let exact = |v: &Value| !matches!(v, Value::Int(i) if i.unsigned_abs() >= 1 << 53);
+    if !(exact(a) && exact(b)) {
+        return None;
+    }
+    a.compare(b).map(|o| o == std::cmp::Ordering::Equal)
 }
 
 #[cfg(test)]
@@ -729,6 +792,75 @@ mod tests {
         assert!(p.terms[0].factors.is_empty());
         let z = CalcExpr::Exists(Box::new(CalcExpr::zero()));
         assert!(to_polynomial(&z, &BTreeSet::new()).is_zero());
+    }
+
+    fn pin(var: &str, value: Value) -> CalcExpr {
+        CalcExpr::Cmp {
+            op: CmpOp::Eq,
+            left: ValExpr::var(var),
+            right: ValExpr::Const(value),
+        }
+    }
+
+    fn pinned_term(pins: Vec<CalcExpr>) -> Polynomial {
+        let mut factors = vec![CalcExpr::rel("R", vec!["V", "X"])];
+        factors.extend(pins);
+        to_polynomial(&CalcExpr::product(factors), &protected(&["V", "X"]))
+    }
+
+    fn pin_count(p: &Polynomial) -> usize {
+        p.terms[0]
+            .factors
+            .iter()
+            .filter(|f| matches!(f, CalcExpr::Cmp { .. }))
+            .count()
+    }
+
+    #[test]
+    fn different_constant_pins_on_one_variable_annihilate() {
+        let p = pinned_term(vec![pin("V", Value::str("a")), pin("V", Value::str("b"))]);
+        assert!(p.is_zero(), "{}", p.to_expr());
+        // Written constant-first, too.
+        let flipped = CalcExpr::Cmp {
+            op: CmpOp::Eq,
+            left: ValExpr::Const(Value::str("b")),
+            right: ValExpr::var("V"),
+        };
+        assert!(pinned_term(vec![pin("V", Value::str("a")), flipped]).is_zero());
+        // Pins on different variables are independent.
+        let p = pinned_term(vec![pin("V", Value::str("a")), pin("X", Value::str("b"))]);
+        assert_eq!(pin_count(&p), 2);
+    }
+
+    #[test]
+    fn a_repeated_constant_pin_is_kept_once() {
+        let p = pinned_term(vec![pin("V", Value::str("a")), pin("V", Value::str("a"))]);
+        assert_eq!(p.terms.len(), 1);
+        assert_eq!(pin_count(&p), 1, "{}", p.to_expr());
+    }
+
+    #[test]
+    fn int_and_float_pins_that_compare_equal_are_one_pin() {
+        let p = pinned_term(vec![pin("V", Value::Int(1)), pin("V", Value::Float(1.0))]);
+        assert_eq!(p.terms.len(), 1);
+        assert_eq!(pin_count(&p), 1, "{}", p.to_expr());
+        assert!(pinned_term(vec![pin("V", Value::Int(1)), pin("V", Value::Float(1.5))]).is_zero());
+    }
+
+    #[test]
+    fn pins_that_do_not_compare_are_left_alone() {
+        // A string and an integer never compare: no decision either way.
+        let p = pinned_term(vec![pin("V", Value::str("a")), pin("V", Value::Int(1))]);
+        assert_eq!(p.terms.len(), 1);
+        assert_eq!(pin_count(&p), 2);
+        // Past 2^53, Int-vs-Float equality is not transitive at runtime
+        // (both of these equal the float 2^53), so nothing is folded.
+        let big = 1i64 << 53;
+        let p = pinned_term(vec![
+            pin("V", Value::Int(big)),
+            pin("V", Value::Int(big + 1)),
+        ]);
+        assert_eq!(pin_count(&p), 2);
     }
 
     #[test]

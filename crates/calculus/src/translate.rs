@@ -18,10 +18,12 @@
 //! where `⟦p⟧` is the predicate translated into 0/1-valued calculus
 //! factors (conjunction → product, disjunction → inclusion–exclusion,
 //! negation → `1 − p`, scalar subqueries → `Lift`, `EXISTS` → `Exists`)
-//! and `⟦f⟧` is the aggregated value expression. `AVG` produces a
-//! sum-map/count-map pair combined at result-access time; `MIN`/`MAX`
-//! produce a *support map* keyed by the aggregated column whose extrema
-//! are read lazily (see `ResultColumn::Extremum`).
+//! and `⟦f⟧` is the aggregated value expression. An `OR` of two constant
+//! pins on one column (`P_MFGR = 'MFGR#1' or P_MFGR = 'MFGR#2'`) costs two
+//! monomials, not three: the simplifier folds the `a ∧ b` term to 0.
+//! `AVG` produces a sum-map/count-map pair combined at result-access time;
+//! `MIN`/`MAX` produce a *support map* keyed by the aggregated column
+//! whose extrema are read lazily (see `ResultColumn::Extremum`).
 
 use dbtoaster_common::{Error, Result};
 use dbtoaster_sql::{AggKind, BoundAgg, BoundExpr, BoundQuery, BoundSelectItem};
@@ -301,7 +303,9 @@ impl Translator {
                 left,
                 right,
             } => {
-                // a OR b = a + b - a*b for 0/1-valued a, b.
+                // a OR b = a + b - a*b for 0/1-valued a, b. When a and b
+                // pin one column to two constants, the simplifier folds
+                // a*b to 0, so the disjunction costs two monomials.
                 let l = self.predicate(left)?;
                 let r = self.predicate(right)?;
                 Ok(CalcExpr::sum(vec![
@@ -577,6 +581,9 @@ mod tests {
         assert!(s.contains("[R_B = 1]"));
         assert!(s.contains("[R_B = 2]"));
         assert!(s.contains("-("));
+        // [R_B = 1] * [R_B = 2] is identically zero: two monomials remain.
+        let poly = crate::simplify::to_polynomial(&qc.maps[0].definition, &Default::default());
+        assert_eq!(poly.terms.len(), 2, "{}", poly.to_expr());
     }
 
     #[test]

@@ -48,7 +48,8 @@ use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 
 use dbtoaster_calculus::{
-    canonical_form, delta, to_polynomial, translate_query, CalcExpr, QueryCalc, Term, ValExpr, Var,
+    canonical_form, canonical_key_order, delta, to_polynomial, translate_query, CalcExpr,
+    QueryCalc, Term, ValExpr, Var,
 };
 use dbtoaster_common::{Catalog, Error, EventKind, FxHashMap, Result, Value};
 use dbtoaster_sql::{analyze, parse_query, BoundQuery};
@@ -414,14 +415,8 @@ impl Compiler {
         // bound by the enclosing statement context (trigger arguments,
         // target-map keys — including statement-level loop variables such
         // as the `foreach c` of the paper's example); everything else is
-        // aggregated away inside the map. Keys are ordered by first
-        // occurrence so that structurally identical factors arising in
-        // different handlers produce identical canonical forms and share
-        // one map.
-        let keys: Vec<Var> = ordered_occurrences(factor)
-            .into_iter()
-            .filter(|v| protected.contains(v))
-            .collect();
+        // aggregated away inside the map. `materialize_named` orders them.
+        let keys: Vec<Var> = factor.all_vars().intersection(protected).cloned().collect();
         let inner = match factor {
             CalcExpr::AggSum { body, .. } => (**body).clone(),
             other => other.clone(),
@@ -435,12 +430,29 @@ impl Compiler {
     /// materializer and the hierarchy's child extraction, so a hierarchy
     /// child and a delta-materialized sub-aggregate with the same
     /// structure resolve to one map.
+    ///
+    /// The caller's key order is not kept: keys are put in canonical order
+    /// first, so the same map requested under any permutation of its keys
+    /// is registered once. The returned `MapRef` (and a new map's declared
+    /// keys) carry that order, so readers and writers agree on positions.
     fn materialize_named(
         &mut self,
         keys: Vec<Var>,
         inner: CalcExpr,
         depth: usize,
     ) -> Result<CalcExpr> {
+        // Depth-limited compilation keeps `BASE_<REL>` maps anyway; a full
+        // copy of one relation is that map, not a second one.
+        if let (Some(_), CalcExpr::Rel { name, vars }) = (self.options.max_depth, &inner) {
+            let columns: BTreeSet<&Var> = vars.iter().collect();
+            if columns.len() == vars.len() && keys.iter().collect::<BTreeSet<_>>() == columns {
+                return Ok(CalcExpr::MapRef {
+                    name: self.ensure_base_map(name)?,
+                    keys: vars.clone(),
+                });
+            }
+        }
+        let keys = canonical_key_order(&keys, &inner);
         let canonical = canonical_form(&keys, &inner);
         if let Some(existing) = self.by_canonical.get(&canonical) {
             return Ok(CalcExpr::MapRef {
@@ -589,65 +601,6 @@ impl ChildMaterializer for HierarchyRegistrar<'_> {
             }
         }
     }
-}
-
-/// Variables of an expression in order of first occurrence (pre-order
-/// traversal), deduplicated. Used to give generated maps a deterministic,
-/// structure-derived key order.
-pub(crate) fn ordered_occurrences(expr: &CalcExpr) -> Vec<Var> {
-    fn walk(expr: &CalcExpr, out: &mut Vec<Var>) {
-        let push = |v: &Var, out: &mut Vec<Var>| {
-            if !out.contains(v) {
-                out.push(v.clone());
-            }
-        };
-        match expr {
-            CalcExpr::Val(v) => {
-                let mut vs = Vec::new();
-                v.collect_vars(&mut vs);
-                for v in vs {
-                    push(&v, out);
-                }
-            }
-            CalcExpr::Cmp { left, right, .. } => {
-                let mut vs = Vec::new();
-                left.collect_vars(&mut vs);
-                right.collect_vars(&mut vs);
-                for v in vs {
-                    push(&v, out);
-                }
-            }
-            CalcExpr::Rel { vars, .. } => {
-                for v in vars {
-                    push(v, out);
-                }
-            }
-            CalcExpr::MapRef { keys, .. } => {
-                for v in keys {
-                    push(v, out);
-                }
-            }
-            CalcExpr::Prod(es) | CalcExpr::Sum(es) => {
-                for e in es {
-                    walk(e, out);
-                }
-            }
-            CalcExpr::Neg(e) | CalcExpr::Exists(e) => walk(e, out),
-            CalcExpr::AggSum { group, body } => {
-                for g in group {
-                    push(g, out);
-                }
-                walk(body, out);
-            }
-            CalcExpr::Lift { var, body } => {
-                push(var, out);
-                walk(body, out);
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(expr, &mut out);
-    out
 }
 
 #[cfg(test)]

@@ -202,11 +202,7 @@ fn rewrite_term(
     let mut children: Vec<(String, Vec<Var>)> = Vec::new();
     for (component, extra) in components.into_iter().zip(absorbed) {
         let body = CalcExpr::product(component.into_iter().chain(extra).collect());
-        let bound_vars: BTreeSet<Var> = body.bound_vars();
-        let keys: Vec<Var> = crate::compile::ordered_occurrences(&body)
-            .into_iter()
-            .filter(|v| bound_vars.contains(v) && observed.contains(v))
-            .collect();
+        let keys: Vec<Var> = body.bound_vars().intersection(&observed).cloned().collect();
         let child = m.materialize_child(keys, body)?;
         if let CalcExpr::MapRef { name, keys } = &child {
             children.push((name.clone(), keys.clone()));

@@ -18,11 +18,15 @@ use std::fmt;
 pub struct MapDecl {
     /// Unique map name (`Q`, `M1_ST`, `BASE_R`, ...).
     pub name: String,
-    /// Key variables as used in `definition`.
+    /// Key variables as used in `definition`. For generated maps these
+    /// are in canonical key order (`canonical_key_order`), not in the
+    /// order of the factor or hierarchy child that first asked for them.
     pub keys: Vec<Var>,
     /// Definition over base relations: `AggSum(keys, body)`.
     pub definition: CalcExpr,
-    /// Canonical form used for map sharing.
+    /// Canonical form used for map sharing: equal for maps that are
+    /// identical up to variable renaming, factor order and — since
+    /// generated maps declare their keys in canonical order — key order.
     pub canonical: String,
     /// True for base-relation multiplicity maps (`BASE_<REL>`), which are
     /// materialized copies of stream relations used by depth-limited
@@ -63,9 +67,13 @@ impl MapDecl {
     /// The fingerprint instead recomputes the canonical form uniformly
     /// from the *final* declaration — key list plus full definition — so
     /// that alpha-equivalent maps from two independently compiled queries
-    /// produce identical strings. Map contents are a pure function of the
-    /// definition over the update stream, so equal fingerprints mean a
-    /// shared-store server may materialize the two maps once.
+    /// produce identical strings. It is positional in the keys, so equal
+    /// fingerprints also mean equal key layouts; because generated maps
+    /// declare their keys in canonical order, two views that reach one
+    /// generated map under different key orders still agree. Map contents
+    /// are a pure function of the definition over the update stream, so
+    /// equal fingerprints mean a shared-store server may materialize the
+    /// two maps once.
     pub fn fingerprint(&self) -> String {
         canonical_form(&self.keys, &self.definition)
     }

@@ -5,7 +5,10 @@
 //! privately materializing every map. The server's `snapshot_all` and
 //! per-view results must match the independent engines exactly, routing
 //! is asserted via per-view event counters, and the store report must
-//! show the `BASE_*` maps of the portfolio materialized once.
+//! show the `BASE_*` maps of the portfolio materialized once. A second
+//! case registers SSB Q4.1 beside a copy with its group-by columns swapped
+//! and its `WHERE` clause reordered: every generated map must be stored
+//! once, however each view happened to order its keys.
 
 use dbtoaster::compiler::{compile_sql, CompileOptions};
 use dbtoaster::prelude::*;
@@ -14,7 +17,7 @@ use dbtoaster::workloads::orderbook::{
     VWAP_NESTED,
 };
 use dbtoaster::workloads::tpch::{
-    ssb_catalog, transform_to_ssb, TpchConfig, TpchData, SSB_REVENUE_BY_YEAR,
+    ssb_catalog, transform_to_ssb, TpchConfig, TpchData, SSB_Q41, SSB_REVENUE_BY_YEAR,
 };
 use dbtoaster::workloads::GeneratorSource;
 
@@ -237,5 +240,65 @@ fn batched_and_per_event_shared_ingestion_agree() {
             batched.events_processed(name).unwrap(),
             per_event.events_processed(name).unwrap()
         );
+    }
+}
+
+/// SSB Q4.1 grouped by `C_NATION, D_YEAR` instead of `D_YEAR, C_NATION`,
+/// with its relations, filters and joins written in another order.
+const SSB_Q41_PERMUTED: &str = "select C_NATION, D_YEAR, \
+     sum(LO_REVENUE - LO_SUPPLYCOST) as PROFIT \
+     from LINEORDER, PART, SUPPLIER, CUSTOMER, DATES \
+     where (P_MFGR = 'MFGR#1' or P_MFGR = 'MFGR#2') and S_REGION = 'AMERICA' \
+       and C_REGION = 'AMERICA' and LO_ORDERDATE = D_DATEKEY \
+       and LO_PARTKEY = P_PARTKEY and LO_SUPPKEY = S_SUPPKEY and LO_CUSTKEY = C_CUSTKEY \
+     group by C_NATION, D_YEAR";
+
+#[test]
+fn key_permuted_views_materialize_each_generated_map_once() {
+    let catalog = ssb_catalog();
+    let views = [("q41", SSB_Q41), ("q41_permuted", SSB_Q41_PERMUTED)];
+    let mut server = ViewServer::new(&catalog);
+    let mut engines = Vec::new();
+    for (name, sql) in views {
+        server.register(name, sql).unwrap();
+        let program = compile_sql(sql, &catalog, &CompileOptions::full()).unwrap();
+        engines.push((name, Engine::new(&program).unwrap()));
+    }
+
+    // The result maps differ (each is keyed in its own group-by order);
+    // every other map is one slot bound by both views.
+    let report = server.store_report();
+    let generated: Vec<_> = report
+        .maps
+        .iter()
+        .filter(|m| !m.aliases.iter().any(|(_, n)| n == "Q"))
+        .collect();
+    let per_view = compile_sql(SSB_Q41, &catalog, &CompileOptions::full())
+        .unwrap()
+        .maps
+        .len()
+        - 1;
+    assert_eq!(generated.len(), per_view, "{report:#?}");
+    for map in generated {
+        assert_eq!(map.sharers, 2, "{:?} is not shared", map.aliases);
+    }
+
+    let stream = transform_to_ssb(&TpchData::generate(&TpchConfig {
+        orders: 150,
+        ..Default::default()
+    }));
+    for chunk in stream.events.chunks(101) {
+        server.apply_batch(chunk).unwrap();
+    }
+    for (name, engine) in &mut engines {
+        engine.process(&stream).unwrap();
+        let rows = engine.result();
+        assert!(!rows.is_empty(), "{name} is empty");
+        assert_eq!(server.result(name).unwrap(), rows, "{name} diverged");
+    }
+    let snapshots = server.snapshot_all();
+    for (snapshot, (name, engine)) in snapshots.iter().zip(&engines) {
+        assert_eq!(&snapshot.name, name);
+        assert_eq!(snapshot.rows, engine.result(), "{name} snapshot diverged");
     }
 }
