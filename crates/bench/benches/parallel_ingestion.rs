@@ -1,43 +1,28 @@
 //! Sharded parallel dispatch vs. sequential batched ingestion.
 //!
-//! Two portfolios:
-//!
-//! * `disjoint8` — eight disjoint relations, one self-join view per
-//!   relation (`sum(r1.A * r2.A)` joining on `B`), so every relation is
-//!   its own partition: the best case the `ShardedDispatcher` planner
-//!   can see without key-range sharding. The stream round-robins events
-//!   across the relations; each batch splits into eight independent
-//!   buckets, one per relation group.
-//! * `hot1` — ONE hot relation feeding a keyed self-join and a flat
-//!   group-by. Without key-range sharding this is the single-partition
-//!   worst case (everything serializes); with
-//!   `ViewServer::enable_range_sharding` the dispatcher splits each
-//!   batch by `hash(A)` into per-range buckets that run concurrently
-//!   against per-range map replicas — the paper's canonical one-stream
-//!   workload, parallelized.
+//! The portfolio, `disjoint8`, has eight disjoint relations and one
+//! self-join view per relation (`sum(r1.A * r2.A)` joining on `B`), so
+//! every relation is its own partition: the best case the
+//! `ShardedDispatcher` planner can see. The stream round-robins events
+//! across the relations; each batch splits into eight independent
+//! buckets, one per relation group.
 //!
 //! Measured modes:
 //!
-//! * `sequential` — `ViewServer::apply_batch` on the caller thread (the
-//!   PR 2 baseline).
-//! * `workers{N}` / `range{N}` — `ShardedDispatcher::apply_batch` with
-//!   N scoped workers (and N key ranges for `hot1`), N ∈ {1, 2, 4, 8}.
-//!   `workers1` runs inline through the partition bookkeeping (its
-//!   delta over `sequential` is the dispatcher overhead).
+//! * `sequential` — `ViewServer::apply_batch` on the caller thread.
+//! * `workers{N}` — `ShardedDispatcher::apply_batch` with N scoped
+//!   workers, N ∈ {1, 2, 4, 8}. `workers1` runs inline through the
+//!   partition bookkeeping (its delta over `sequential` is the
+//!   dispatcher overhead).
 //!
 //! The `emit_json` stage re-measures each mode once and writes
 //! `BENCH_parallel_ingestion.json` (events/s per worker count, speedup
-//! vs sequential, partition/range/bucket counters, and the machine's
-//! available parallelism). Two acceptance gates run inside it:
-//!
-//! * on any machine, the zero-copy dispatcher must not regress the
-//!   disjoint portfolio below sequential at any worker count (≥ 0.95×
-//!   after noise; on a 1-core host every over-provisioned worker count
-//!   short-circuits to the inline path, so this checks that
-//!   short-circuit too);
-//! * on a ≥ 4-core machine, the hot portfolio must reach ≥ 1.5× at
-//!   4 range workers — skipped with a notice on smaller hosts, where
-//!   there is no parallelism to win.
+//! vs sequential, partition/bucket counters, and the machine's available
+//! parallelism). One acceptance gate runs inside it: on any machine, the
+//! zero-copy dispatcher must not regress the portfolio below sequential
+//! at any worker count (≥ 0.95× after noise; on a 1-core host every
+//! over-provisioned worker count short-circuits to the inline path, so
+//! this checks that short-circuit too).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -106,61 +91,6 @@ fn stream() -> UpdateStream {
     stream
 }
 
-// ---------------------------------------------------------------- hot1
-
-fn hot_catalog() -> Catalog {
-    Catalog::new().with(Schema::new(
-        "HOT",
-        vec![("A", ColumnType::Int), ("B", ColumnType::Int)],
-    ))
-}
-
-/// The single-hot-relation portfolio: a self join keyed on `A` (its
-/// sub-aggregates are read back in HOT's own triggers — the Keyed shard
-/// role) plus a flat group-by (pure accumulators). Both shard on
-/// column 0, so `enable_range_sharding` accepts the relation. (The flat
-/// view counts rather than sums `B`: a `sum(B) by A` map would dedup
-/// with the self join's sub-aggregate, and the server refuses slots
-/// whose sharers disagree on the shard role.)
-fn hot_portfolio(ranges: Option<usize>) -> Arc<ViewServer> {
-    let mut server = ViewServer::new(&hot_catalog());
-    server
-        .register(
-            "hot_selfjoin",
-            "select sum(r1.B * r2.B) from HOT r1, HOT r2 where r1.A = r2.A",
-        )
-        .unwrap();
-    server
-        .register("hot_count", "select A, count(*) from HOT group by A")
-        .unwrap();
-    if let Some(ranges) = ranges {
-        server.enable_range_sharding("HOT", ranges).unwrap();
-    }
-    Arc::new(server)
-}
-
-/// One skewed hot stream: every event hits HOT, join keys drawn from a
-/// small domain so the self-join slices grow and per-event work
-/// dominates dispatch overhead. ~10% deletions keep the books honest.
-fn hot_stream() -> UpdateStream {
-    let mut rng = SmallRng::seed_from_u64(0x40701);
-    let mut stream = UpdateStream::new();
-    let mut resident: Vec<(i64, i64)> = Vec::new();
-    for _ in 0..MESSAGES {
-        if !resident.is_empty() && rng.gen_range(0..10) == 0 {
-            let at = rng.gen_range(0..resident.len());
-            let (a, b) = resident.swap_remove(at);
-            stream.push(Event::delete("HOT", tuple![a, b]));
-        } else {
-            let a = rng.gen_range(0..KEY_DOMAIN);
-            let b = rng.gen_range(1..100i64);
-            resident.push((a, b));
-            stream.push(Event::insert("HOT", tuple![a, b]));
-        }
-    }
-    stream
-}
-
 fn run_sequential(server: Arc<ViewServer>, stream: &UpdateStream) -> (Arc<ViewServer>, f64) {
     let started = Instant::now();
     for chunk in stream.events.chunks(BATCH) {
@@ -186,7 +116,6 @@ fn run_sharded(
 
 fn parallel_ingestion(c: &mut Criterion) {
     let stream = stream();
-    let hot = hot_stream();
 
     let mut group = c.benchmark_group("parallel_ingestion");
     group.sample_size(10);
@@ -202,17 +131,6 @@ fn parallel_ingestion(c: &mut Criterion) {
             BenchmarkId::new("disjoint8", format!("workers{workers}")),
             &stream,
             |b, stream| b.iter(|| run_sharded(portfolio(), stream, workers).1),
-        );
-    }
-
-    group.bench_with_input(BenchmarkId::new("hot1", "sequential"), &hot, |b, stream| {
-        b.iter(|| run_sequential(hot_portfolio(None), stream).1)
-    });
-    for workers in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("hot1", format!("range{workers}")),
-            &hot,
-            |b, stream| b.iter(|| run_sharded(hot_portfolio(Some(workers)), stream, workers).1),
         );
     }
     group.finish();
@@ -258,49 +176,6 @@ fn emit_json(_c: &mut Criterion) {
         ]));
     }
 
-    // Hot single-relation portfolio: key-range sharding vs sequential.
-    let hot = hot_stream();
-    let (hot_sequential, hot_sequential_rate) = run_sequential(hot_portfolio(None), &hot);
-    let hot_reference = hot_sequential.snapshot_all();
-
-    let mut hot_modes = Vec::new();
-    for workers in [2usize, 4, 8] {
-        let (dispatcher, rate) = run_sharded(hot_portfolio(Some(workers)), &hot, workers);
-        let snapshot = dispatcher.server().snapshot_all();
-        assert_eq!(snapshot.len(), hot_reference.len());
-        for (a, b) in hot_reference.iter().zip(&snapshot) {
-            assert_eq!(a.rows, b.rows, "{} diverged from sequential", a.name);
-        }
-        let speedup = rate / hot_sequential_rate;
-        if workers == 4 {
-            // The headline gate: a single hot relation must scale once
-            // the machine has cores to scale onto.
-            if cores >= 4 {
-                assert!(
-                    speedup >= 1.5,
-                    "hot relation at 4 range workers on {cores} cores: \
-                     {speedup:.3}x < 1.5x"
-                );
-            } else {
-                println!(
-                    "NOTICE: skipping the >=1.5x hot-relation gate — only \
-                     {cores} core(s) available, nothing to parallelize onto"
-                );
-            }
-        }
-        let report = dispatcher.report();
-        hot_modes.push(Json::obj([
-            ("range_workers", Json::from(workers)),
-            ("ranges", Json::from(workers)),
-            ("events_per_sec", Json::from(rate)),
-            ("speedup_vs_sequential", Json::from(speedup)),
-            ("parallel_batches", Json::from(report.parallel_batches)),
-            ("sequential_batches", Json::from(report.sequential_batches)),
-            ("jobs", Json::from(report.jobs)),
-            ("range_jobs", Json::from(report.range_jobs)),
-        ]));
-    }
-
     let report = Json::obj([
         ("bench", Json::str("parallel_ingestion")),
         ("events", Json::from(stream.len())),
@@ -313,17 +188,6 @@ fn emit_json(_c: &mut Criterion) {
             Json::obj([("events_per_sec", Json::from(sequential_rate))]),
         ),
         ("workers", Json::Arr(modes)),
-        (
-            "hot_relation",
-            Json::obj([
-                ("events", Json::from(hot.len())),
-                (
-                    "sequential",
-                    Json::obj([("events_per_sec", Json::from(hot_sequential_rate))]),
-                ),
-                ("range_workers", Json::Arr(hot_modes)),
-            ]),
-        ),
     ]);
     match write_bench_json("parallel_ingestion", &report) {
         Ok(path) => println!("wrote {}", path.display()),

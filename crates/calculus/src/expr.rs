@@ -480,27 +480,6 @@ impl CalcExpr {
         }
     }
 
-    /// Visit every map reference (name + key variables) in the
-    /// expression, in syntactic order. Unlike [`CalcExpr::map_refs`] this
-    /// surfaces the *key lists*, which per-call-site analyses (e.g. the
-    /// compiler's partition-key pass) need: the same map can be referenced
-    /// with different keys at different sites.
-    pub fn for_each_map_ref(&self, f: &mut dyn FnMut(&str, &[Var])) {
-        match self {
-            CalcExpr::MapRef { name, keys } => f(name, keys),
-            CalcExpr::Val(_) | CalcExpr::Cmp { .. } | CalcExpr::Rel { .. } => {}
-            CalcExpr::Prod(es) | CalcExpr::Sum(es) => {
-                for e in es {
-                    e.for_each_map_ref(f);
-                }
-            }
-            CalcExpr::Neg(e) => e.for_each_map_ref(f),
-            CalcExpr::AggSum { body, .. } => body.for_each_map_ref(f),
-            CalcExpr::Lift { body, .. } => body.for_each_map_ref(f),
-            CalcExpr::Exists(e) => e.for_each_map_ref(f),
-        }
-    }
-
     /// True if the expression mentions at least one base relation atom.
     pub fn has_relations(&self) -> bool {
         !self.relations().is_empty()

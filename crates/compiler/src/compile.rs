@@ -168,10 +168,8 @@ pub fn compile_query(
         catalog: catalog.clone(),
         max_depth: options.max_depth,
         map_index: FxHashMap::default(),
-        partition_keys: Vec::new(),
     };
     program.rebuild_map_index();
-    crate::sharding::analyze_partition_keys(&mut program);
     Ok(program)
 }
 
@@ -201,7 +199,6 @@ impl Compiler {
                 canonical,
                 is_base_relation: false,
                 ordered_keys: Vec::new(),
-                shard_roles: Vec::new(),
             });
             self.worklist.push((spec.name.clone(), 0));
         }
@@ -483,7 +480,6 @@ impl Compiler {
             canonical,
             is_base_relation: false,
             ordered_keys: Vec::new(),
-            shard_roles: Vec::new(),
         });
         self.worklist.push((name.clone(), depth + 1));
         Ok(CalcExpr::MapRef { name, keys })
@@ -568,7 +564,6 @@ impl Compiler {
             canonical,
             is_base_relation: true,
             ordered_keys: Vec::new(),
-            shard_roles: Vec::new(),
         });
         // Base maps are maintained by the ordinary delta path (their delta
         // is simply ±1 at the inserted/deleted key).

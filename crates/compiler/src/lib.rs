@@ -23,10 +23,9 @@ pub mod codegen;
 pub mod compile;
 pub mod hierarchy;
 pub mod program;
-pub mod sharding;
 
 pub use compile::{compile_query, compile_sql, CompileOptions, NestedStrategy};
 pub use program::{
-    MapDecl, PartitionKey, Stage, Statement, StatementKind, Trigger, TriggerProgram, STAGE_DELTA,
-    STAGE_REBUILD, STAGE_RETRACT,
+    MapDecl, Stage, Statement, StatementKind, Trigger, TriggerProgram, STAGE_DELTA, STAGE_REBUILD,
+    STAGE_RETRACT,
 };

@@ -41,20 +41,6 @@ pub struct MapDecl {
     /// shared-store slots union the requests of all sharers.
     #[serde(default)]
     pub ordered_keys: Vec<usize>,
-    /// Key-range sharding roles, one per shardable relation this map is
-    /// maintained under: `(relation, partition_column, role)` where
-    /// `role = Some(p)` means the map is *keyed* — key position `p`
-    /// always carries the relation's partition column, so per-range
-    /// replicas hold disjoint key supports and every trigger read stays
-    /// range-local — and `role = None` means the map is an
-    /// *accumulator* — never read by the relation's triggers, so
-    /// per-range partials merge by monoid addition at snapshot time.
-    /// Filled by the post-compilation partition-key analysis
-    /// ([`crate::sharding`]). Pure placement metadata: it never changes
-    /// map contents, so like `ordered_keys` it is excluded from
-    /// [`MapDecl::fingerprint`].
-    #[serde(default)]
-    pub shard_roles: Vec<(String, usize, Option<usize>)>,
 }
 
 impl MapDecl {
@@ -77,25 +63,6 @@ impl MapDecl {
     pub fn fingerprint(&self) -> String {
         canonical_form(&self.keys, &self.definition)
     }
-}
-
-/// Result of the partition-key analysis for one shardable relation: the
-/// base-relation column whose hash may be used to split the relation's
-/// trigger executions across key ranges without changing any map's
-/// contents, plus the per-map roles that make the split sound (see
-/// [`MapDecl::shard_roles`]). Relations with *no* such column simply do
-/// not appear — "unshardable" is the default, and the runtime falls back
-/// to whole-relation locking.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PartitionKey {
-    /// The stream relation this applies to.
-    pub relation: String,
-    /// Column index (into the relation's schema) used as partition key.
-    pub column: usize,
-    /// `(map_name, role)` for every map touched by the relation's
-    /// triggers: `Some(p)` = keyed at key position `p`, `None` =
-    /// accumulator (merge-on-snapshot).
-    pub roles: Vec<(String, Option<usize>)>,
 }
 
 /// How a statement modifies its target map.
@@ -228,12 +195,6 @@ pub struct TriggerProgram {
     /// snapshot paths). Derived from `maps`; rebuild with
     /// [`TriggerProgram::rebuild_map_index`] after editing `maps` by hand.
     pub map_index: FxHashMap<String, usize>,
-    /// Relations the partition-key analysis proved key-range shardable,
-    /// with their partition columns and per-map roles. Empty when no
-    /// relation qualifies (the sound default). Placement metadata only —
-    /// ignored by the single-threaded engines.
-    #[serde(default)]
-    pub partition_keys: Vec<PartitionKey>,
 }
 
 impl TriggerProgram {
@@ -258,11 +219,6 @@ impl TriggerProgram {
             // correct with a scan.
             self.maps.iter().find(|m| m.name == name)
         }
-    }
-
-    /// Partition-key analysis result for a relation, if it qualified.
-    pub fn partition_key(&self, relation: &str) -> Option<&PartitionKey> {
-        self.partition_keys.iter().find(|p| p.relation == relation)
     }
 
     /// Find the trigger for a (relation, event) pair.
@@ -350,7 +306,6 @@ mod tests {
             canonical: String::new(),
             is_base_relation: false,
             ordered_keys: Vec::new(),
-            shard_roles: Vec::new(),
         };
         // Same structure under different variable names: equal prints.
         assert_eq!(
@@ -373,7 +328,6 @@ mod tests {
             canonical: String::new(),
             is_base_relation: false,
             ordered_keys: Vec::new(),
-            shard_roles: Vec::new(),
         };
         let mut p = TriggerProgram {
             sql: None,
@@ -388,7 +342,6 @@ mod tests {
             catalog: Catalog::new(),
             max_depth: None,
             map_index: FxHashMap::default(),
-            partition_keys: Vec::new(),
         };
         // Stale (empty) index: the scan fallback still answers.
         assert_eq!(p.map("M1_R").unwrap().name, "M1_R");

@@ -10,9 +10,7 @@
 //!   interface to internal maps for ad-hoc client-side queries,
 //! * [`Engine::profile`] — per-trigger and per-map statistics (tuple
 //!   counts, processing time, entry counts, approximate bytes), backing
-//!   the paper's profiling/visualization experiments,
-//! * [`Engine::enable_tracing`] / [`Engine::last_trace`] — the
-//!   statement-level debugger used by the demo walkthrough.
+//!   the paper's profiling/visualization experiments.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -64,8 +62,6 @@ pub struct Engine {
     events_processed: u64,
     trigger_stats: FxHashMap<(String, EventKind), (u64, Duration)>,
     compile_time: Duration,
-    tracing: bool,
-    trace: Vec<String>,
     profile: Option<StmtProfile>,
     /// Statement-evaluation buffers, reused across every event this
     /// engine processes (not just within one batch) so the per-event
@@ -101,8 +97,6 @@ impl Engine {
             events_processed: 0,
             trigger_stats: FxHashMap::default(),
             compile_time: started.elapsed(),
-            tracing: false,
-            trace: Vec::new(),
             profile: None,
             scratch: EventScratch::default(),
         })
@@ -118,17 +112,6 @@ impl Engine {
         &self.program
     }
 
-    /// Enable or disable statement-level tracing (the demo debugger).
-    pub fn enable_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    /// The trace of the most recently processed event (statement renderings
-    /// with the target-map sizes after each application).
-    pub fn last_trace(&self) -> &[String] {
-        &self.trace
-    }
-
     /// Enable or disable the per-statement self-profiler: cumulative
     /// nanoseconds and run counts per `(trigger, stage, statement)`,
     /// reported through [`Engine::profile`]. Costs two clock reads per
@@ -140,15 +123,6 @@ impl Engine {
     /// Process a single update-stream event.
     pub fn on_event(&mut self, event: &Event) -> Result<()> {
         let started = Instant::now();
-        if self.tracing {
-            self.trace.clear();
-            self.trace.push(format!(
-                "event: {} {} {}",
-                event.kind.label(),
-                event.relation,
-                event.tuple
-            ));
-        }
         if !self.apply_event(event)? {
             // Relations unknown to the query are ignored (the paper's
             // runtime registers handlers only for referenced streams).
@@ -235,11 +209,6 @@ impl Engine {
     /// buffers, so neither the per-event nor the batched path allocates.
     fn apply_event(&mut self, event: &Event) -> Result<bool> {
         let hooks = StmtHooks {
-            log: if self.tracing {
-                Some(&mut self.trace)
-            } else {
-                None
-            },
             profile: self.profile.as_ref(),
             spans: None,
         };
@@ -583,15 +552,12 @@ pub struct StmtSpans<'a> {
 }
 
 /// Optional per-statement instrumentation threaded through
-/// [`apply_event_statements`]. All three hooks default to off
-/// ([`StmtHooks::none`]) and are independent: `log` is the demo
-/// debugger's rendering trace, `profile` the cumulative self-profiler,
-/// `spans` the sampled trace recorder. Statement clocks are read only
-/// when `profile` or `spans` is present.
+/// [`apply_event_statements`]. Both hooks default to off
+/// ([`StmtHooks::none`]) and are independent: `profile` is the
+/// cumulative self-profiler, `spans` the sampled trace recorder.
+/// Statement clocks are read only when one of them is present.
 #[derive(Default)]
 pub struct StmtHooks<'a> {
-    /// Human-readable statement log (the demo debugger).
-    pub log: Option<&'a mut Vec<String>>,
     /// Cumulative per-statement self-profiler.
     pub profile: Option<&'a StmtProfile>,
     /// Span sink for an event picked by the trace sampler.
@@ -625,7 +591,7 @@ pub fn apply_event_statements<M: MapWrite + ?Sized>(
     scratch: &mut EventScratch,
     phase: StatementPhase,
     skip_targets: Option<&[bool]>,
-    mut hooks: StmtHooks<'_>,
+    hooks: StmtHooks<'_>,
 ) -> Result<bool> {
     let Some((trigger_idx, trigger)) = exec.trigger_indexed(&event.relation, event.kind) else {
         return Ok(false);
@@ -671,14 +637,6 @@ pub fn apply_event_statements<M: MapWrite + ?Sized>(
                     tid: spans.tid,
                 });
             }
-        }
-        if let Some(log) = hooks.log.as_deref_mut() {
-            log.push(format!(
-                "  {} => {} now has {} entries",
-                stmt.rendered,
-                exec.map_names[stmt.target],
-                maps.map(stmt.target).len()
-            ));
         }
     }
 
@@ -1386,18 +1344,6 @@ mod tests {
             .per_trigger
             .iter()
             .any(|(n, c, _)| n == "on_insert_R" && *c == 1));
-    }
-
-    #[test]
-    fn tracing_records_statement_applications() {
-        let mut engine = engine_for(RST, &CompileOptions::full());
-        engine.enable_tracing(true);
-        engine
-            .on_event(&Event::insert("R", tuple![1i64, 1i64]))
-            .unwrap();
-        let trace = engine.last_trace();
-        assert!(trace[0].starts_with("event: insert R"));
-        assert!(trace.len() > 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`engine`] — the query engine: applies update-stream events, exposes
 //!   the standing query result, read-only snapshots of internal maps
 //!   (the paper's ad-hoc client-side query interface), a per-map/
-//!   per-trigger profiler and a statement-level tracing debugger. The
+//!   per-trigger profiler and a per-statement self-profiler. The
 //!   evaluation core is generic over a map *frame* ([`storage::MapRead`]
 //!   / [`storage::MapWrite`]), so the same compiled statements run
 //!   against an engine's private maps or the shared store,
@@ -24,7 +24,7 @@
 //!   *relation*, derived maps by registering view), maintainer-view
 //!   bookkeeping, and cacheable [`store::FramePlan`] slot-resolution
 //!   tables so frame construction is allocation-free (the server half of
-//!   cross-query map sharing and sharded dispatch),
+//!   cross-query map sharing and relation-partitioned dispatch),
 //! * [`standalone`] — the standalone processing mode: an engine running
 //!   on its own thread, fed through a channel, mirroring the paper's
 //!   network-fed standalone runtime (embedded mode is simply using
@@ -45,6 +45,6 @@ pub use lower::{lower_program, ExecProgram};
 pub use standalone::StandaloneServer;
 pub use storage::{MapRead, MapStorage, MapWrite};
 pub use store::{
-    range_of_value, FramePlan, GroupKey, LockWaitMetrics, MapRegistration, MergedFrame,
-    MergedReadGuard, RangeShard, ReadFrame, SharedMapStore, SlotMeta, ViewBinding, WriteFrame,
+    FramePlan, GroupKey, LockWaitMetrics, MapRegistration, ReadFrame, SharedMapStore, SlotMeta,
+    ViewBinding, WriteFrame,
 };

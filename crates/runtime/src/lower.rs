@@ -161,7 +161,7 @@ pub struct ExecStatement {
     pub block: Block,
     /// Number of environment slots the statement needs.
     pub slots: usize,
-    /// Human-readable form, for the tracing debugger.
+    /// Human-readable form, for the statement profiler's report.
     pub rendered: String,
     /// O(log² P) execution plan when the statement matches the
     /// monotone-guard interval shape; `block` remains the fallback.

@@ -502,21 +502,6 @@ impl MapStorage {
         self.arity
     }
 
-    /// An *empty* map with the same arity and the same registered
-    /// secondary indexes (equality patterns and ordered positions) as
-    /// `self`. Used by key-range sharding to stamp out per-range
-    /// replicas that answer the same access paths as the original.
-    pub fn fresh_like(&self) -> MapStorage {
-        let mut m = MapStorage::new(self.arity);
-        for s in &self.slices {
-            m.register_pattern(&s.positions);
-        }
-        for o in &self.ordered {
-            m.register_ordered(o.ordered_pos);
-        }
-        m
-    }
-
     /// Registered equality-pattern position lists (introspection).
     pub fn pattern_positions(&self) -> Vec<Vec<usize>> {
         self.slices.iter().map(|s| s.positions.clone()).collect()

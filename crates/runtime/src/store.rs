@@ -103,72 +103,6 @@ pub enum GroupKey {
     /// The non-base maps one view introduced (its sub-aggregates and
     /// result map).
     View(usize),
-    /// One key range of a range-sharded relation: replica storage for
-    /// every slot of the shard's base groups, behind its own lock (see
-    /// [`SharedMapStore::create_range_shard`]).
-    Range {
-        /// Index into the store's shard table.
-        shard: usize,
-        /// Range index within the shard.
-        range: usize,
-    },
-}
-
-/// A key-range shard over one relation's lock plan: `ranges` replica
-/// groups, each holding an empty-initialized copy of every slot in the
-/// sharded base groups. Ingestion routes each event of the relation to
-/// `range_of_value(tuple[column])` and runs it against that range's
-/// replica frame only, so ranges proceed under independent locks.
-///
-/// Per-slot roles (from the compiler's partition-key analysis) fix the
-/// merge semantics:
-///
-/// * **keyed** (`Some(p)`) — key position `p` carries the partition
-///   column, so per-range replicas hold *disjoint* key supports. All
-///   pre-shard base entries are redistributed into the replicas at shard
-///   time and the base storage stays empty: the keyed state a range's
-///   triggers read lives entirely in that range's replica.
-/// * **accumulator** (`None`) — never read by the relation's triggers.
-///   Base keeps its pre-shard contents; replicas accumulate per-range
-///   partials. The true map is the *pointwise monoid sum* of base and
-///   all replicas, which merged read paths compute non-destructively.
-#[derive(Debug, Clone)]
-pub struct RangeShard {
-    /// The sharded base groups (ascending) — the relation's lock plan.
-    pub base_groups: Vec<usize>,
-    /// One replica group per range.
-    pub range_groups: Vec<usize>,
-    /// Slot ids in replica-row order (concatenated `base_groups`
-    /// contents, group-ascending then index-ascending).
-    pub slots: Vec<usize>,
-    /// Role per `slots` entry: `Some(p)` = keyed at key position `p`,
-    /// `None` = accumulator.
-    pub roles: Vec<Option<usize>>,
-}
-
-/// Deterministic hash-partition of a key value into `ranges` buckets.
-/// Ingestion routing and shard-time redistribution must agree on this
-/// exact function — it is the *only* placement rule for sharded state.
-pub fn range_of_value(v: &dbtoaster_common::Value, ranges: usize) -> usize {
-    use dbtoaster_common::Value;
-    let h: u64 = match v {
-        Value::Int(i) => *i as u64,
-        Value::Float(f) => f.to_bits(),
-        Value::Bool(b) => *b as u64,
-        Value::Date(d) => *d as u64,
-        Value::Null => 0,
-        Value::Str(s) => {
-            // FNV-1a: stable across runs and platforms.
-            let mut h: u64 = 0xcbf29ce484222325;
-            for b in s.as_bytes() {
-                h ^= *b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            h
-        }
-    };
-    // Fibonacci mix so dense integer keys spread over ranges.
-    (h.wrapping_mul(0x9e3779b97f4a7c15) >> 33) as usize % ranges.max(1)
 }
 
 /// Immutable metadata of one stored map.
@@ -241,10 +175,6 @@ pub struct SharedMapStore {
     group_slots: Vec<Vec<usize>>,
     /// fingerprint → slot.
     by_fingerprint: FxHashMap<String, usize>,
-    /// Key-range shards, in creation order.
-    shards: Vec<RangeShard>,
-    /// Sharded *base* group id → shard index.
-    sharded_groups: FxHashMap<usize, usize>,
     /// Lock-wait histograms, when the owning server wired them in.
     lock_wait: Option<LockWaitMetrics>,
 }
@@ -330,14 +260,6 @@ impl SharedMapStore {
                     meta.aliases.push((view, reg.name.clone()));
                     let group = meta.group;
                     let index = meta.index;
-                    // Registering into a range-sharded group would need
-                    // replica backfill and a shardability re-check; the
-                    // server enables sharding only after all views are
-                    // registered.
-                    assert!(
-                        !self.sharded_groups.contains_key(&group),
-                        "cannot bind new views to a range-sharded group"
-                    );
                     let storage = self.groups[group].get_mut();
                     for p in &reg.patterns {
                         storage[index].register_pattern(p);
@@ -351,10 +273,6 @@ impl SharedMapStore {
                 None => {
                     let slot = self.slots.len();
                     let group = self.group_for(reg.group_key(view));
-                    assert!(
-                        !self.sharded_groups.contains_key(&group),
-                        "cannot bind new views to a range-sharded group"
-                    );
                     let mut storage = MapStorage::new(reg.arity);
                     for p in &reg.patterns {
                         storage.register_pattern(p);
@@ -452,6 +370,22 @@ impl SharedMapStore {
             table,
         }
     }
+
+    /// Read one map under its group lock.
+    pub fn with_map<R>(&self, slot: usize, f: impl FnOnce(&MapStorage) -> R) -> R {
+        let meta = &self.slots[slot];
+        let storage = self.groups[meta.group].read();
+        f(&storage[meta.index])
+    }
+
+    /// Approximate bytes held by all stored maps, each counted once
+    /// regardless of how many views share it.
+    pub fn approx_bytes(&self) -> usize {
+        self.groups
+            .iter()
+            .map(|g| g.read().iter().map(MapStorage::approx_bytes).sum::<usize>())
+            .sum()
+    }
 }
 
 /// A cached lock plan plus its slot-resolution table: for every store
@@ -504,269 +438,6 @@ impl FramePlan {
     ) -> WriteFrame<'a, 'g> {
         debug_assert_eq!(guards.len(), self.groups.len(), "guards do not match plan");
         WriteFrame { plan: self, guards }
-    }
-}
-
-impl SharedMapStore {
-    /// Split the given base groups (a relation's ascending lock plan)
-    /// into `ranges` key-range replica groups. `roles` must give the
-    /// partition-key role for *every* slot those groups hold (`Some(p)` =
-    /// keyed at position `p`, `None` = accumulator); pre-shard entries of
-    /// keyed slots are redistributed into the replicas by
-    /// [`range_of_value`], leaving their base storage empty. Returns the
-    /// shard id. Panics if a group is already sharded or a slot role is
-    /// missing — callers (the server) validate shardability first.
-    pub fn create_range_shard(
-        &mut self,
-        base_groups: &[usize],
-        roles: &FxHashMap<usize, Option<usize>>,
-        ranges: usize,
-    ) -> usize {
-        assert!(ranges >= 1, "a shard needs at least one range");
-        debug_assert!(base_groups.windows(2).all(|w| w[0] < w[1]));
-        for &g in base_groups {
-            assert!(
-                !self.sharded_groups.contains_key(&g),
-                "group {g} is already range-sharded"
-            );
-            assert!(
-                !matches!(self.group_keys[g], GroupKey::Range { .. }),
-                "cannot shard a replica group"
-            );
-        }
-        let shard = self.shards.len();
-        let slots: Vec<usize> = base_groups
-            .iter()
-            .flat_map(|&g| self.group_slots[g].iter().copied())
-            .collect();
-        let slot_roles: Vec<Option<usize>> = slots
-            .iter()
-            .map(|s| {
-                *roles
-                    .get(s)
-                    .unwrap_or_else(|| panic!("no partition-key role for slot {s}"))
-            })
-            .collect();
-        // Stamp out the replica groups: same arity and secondary indexes
-        // as the originals, empty contents.
-        let mut range_groups = Vec::with_capacity(ranges);
-        for range in 0..ranges {
-            let g = self.group_for(GroupKey::Range { shard, range });
-            let rows: Vec<MapStorage> = slots
-                .iter()
-                .map(|&s| {
-                    let meta = &self.slots[s];
-                    self.groups[meta.group].read()[meta.index].fresh_like()
-                })
-                .collect();
-            *self.groups[g].get_mut() = rows;
-            // `group_slots` stays empty for replica groups: base plans
-            // keep resolving slots to base storage, and range plans are
-            // built explicitly below.
-            range_groups.push(g);
-        }
-        // Redistribute keyed state: entries with key[p] = v belong to
-        // range_of_value(v)'s replica, and only there.
-        for (row, (&slot, role)) in slots.iter().zip(&slot_roles).enumerate() {
-            let Some(p) = *role else { continue };
-            let meta = self.slots[slot].clone();
-            let entries: Vec<_> = {
-                let base = &self.groups[meta.group].read()[meta.index];
-                base.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-            };
-            self.groups[meta.group].get_mut()[meta.index].clear();
-            for (key, value) in entries {
-                let range = range_of_value(&key[p], ranges);
-                self.groups[range_groups[range]].get_mut()[row].add(key, value);
-            }
-        }
-        self.shards.push(RangeShard {
-            base_groups: base_groups.to_vec(),
-            range_groups,
-            slots,
-            roles: slot_roles,
-        });
-        for &g in base_groups {
-            self.sharded_groups.insert(g, shard);
-        }
-        self.shards.len() - 1
-    }
-
-    /// Shard metadata by id.
-    pub fn shard(&self, shard: usize) -> &RangeShard {
-        &self.shards[shard]
-    }
-
-    /// True when any relation is range-sharded.
-    pub fn any_sharded(&self) -> bool {
-        !self.shards.is_empty()
-    }
-
-    /// The shard a base group belongs to, if any.
-    pub fn shard_of_group(&self, group: usize) -> Option<usize> {
-        self.sharded_groups.get(&group).copied()
-    }
-
-    /// Frame plan for one range of a shard: a single-group lock plan over
-    /// the range's replica group, resolving exactly the shard's slots to
-    /// their replica rows.
-    pub fn range_frame_plan(&self, shard: usize, range: usize) -> FramePlan {
-        let s = &self.shards[shard];
-        let mut table: Vec<Option<(u32, u32)>> = vec![None; self.slots.len()];
-        for (row, &slot) in s.slots.iter().enumerate() {
-            table[slot] = Some((0, row as u32));
-        }
-        FramePlan {
-            groups: vec![s.range_groups[range]],
-            table,
-        }
-    }
-
-    /// The requested groups extended with the replica groups of every
-    /// shard whose base groups the request touches, ascending and
-    /// deduplicated — the lock set a merged read needs.
-    fn merged_lock_set(&self, groups: &[usize]) -> (Vec<usize>, Vec<usize>) {
-        let mut involved: Vec<usize> = groups
-            .iter()
-            .filter_map(|g| self.sharded_groups.get(g).copied())
-            .collect();
-        involved.sort_unstable();
-        involved.dedup();
-        let mut full = groups.to_vec();
-        for &s in &involved {
-            full.extend(&self.shards[s].range_groups);
-        }
-        full.sort_unstable();
-        full.dedup();
-        (full, involved)
-    }
-
-    /// Acquire a consistent *merged* read over the given groups: all
-    /// base and replica locks are read-held for the guard's lifetime,
-    /// and sharded slots resolve to freshly merged copies (base plus the
-    /// pointwise monoid sum of every range replica — the true map for
-    /// accumulators, the disjoint union for keyed slots). Unsharded
-    /// stores skip the copy entirely.
-    pub fn lock_read_merged<'a>(&'a self, groups: &[usize]) -> MergedReadGuard<'a> {
-        let (full, involved) = self.merged_lock_set(groups);
-        let plan = self.plan(&full);
-        let guards = self.lock_read(&full);
-        let mut overrides: FxHashMap<usize, MapStorage> = FxHashMap::default();
-        for &sh in &involved {
-            let s = &self.shards[sh];
-            for (row, &slot) in s.slots.iter().enumerate() {
-                let meta = &self.slots[slot];
-                let (bpos, bidx) = plan.resolve(slot);
-                debug_assert_eq!(full[bpos], meta.group);
-                let mut merged = guards[bpos][bidx].clone();
-                for &rg in &s.range_groups {
-                    let rpos = full.binary_search(&rg).expect("replica group locked");
-                    for (k, v) in guards[rpos][row].iter() {
-                        merged.add(k.clone(), v.clone());
-                    }
-                }
-                overrides.insert(slot, merged);
-            }
-        }
-        MergedReadGuard {
-            plan,
-            guards,
-            overrides,
-        }
-    }
-
-    /// Read one map under its group lock, merged across range replicas
-    /// when the map's group is sharded (see [`Self::lock_read_merged`]).
-    pub fn with_map_merged<R>(&self, slot: usize, f: impl FnOnce(&MapStorage) -> R) -> R {
-        let meta = &self.slots[slot];
-        let Some(&shard) = self.sharded_groups.get(&meta.group) else {
-            return self.with_map(slot, f);
-        };
-        let s = &self.shards[shard];
-        let row = s
-            .slots
-            .iter()
-            .position(|&x| x == slot)
-            .expect("slot listed in its group's shard");
-        // Lock base + replicas ascending for a consistent cut.
-        let mut lockset = vec![meta.group];
-        lockset.extend(&s.range_groups);
-        lockset.sort_unstable();
-        let guards = self.lock_read(&lockset);
-        let bpos = lockset.binary_search(&meta.group).unwrap();
-        let mut merged = guards[bpos][meta.index].clone();
-        for &rg in &s.range_groups {
-            let rpos = lockset.binary_search(&rg).unwrap();
-            for (k, v) in guards[rpos][row].iter() {
-                merged.add(k.clone(), v.clone());
-            }
-        }
-        f(&merged)
-    }
-
-    /// Approximate bytes of one slot's storage across base and all range
-    /// replicas (each counted once regardless of sharers).
-    pub fn slot_bytes(&self, slot: usize) -> usize {
-        let meta = &self.slots[slot];
-        let mut total = self.with_map(slot, MapStorage::approx_bytes);
-        if let Some(&shard) = self.sharded_groups.get(&meta.group) {
-            let s = &self.shards[shard];
-            if let Some(row) = s.slots.iter().position(|&x| x == slot) {
-                for &rg in &s.range_groups {
-                    total += self.groups[rg].read()[row].approx_bytes();
-                }
-            }
-        }
-        total
-    }
-
-    /// Read one map under its group lock.
-    pub fn with_map<R>(&self, slot: usize, f: impl FnOnce(&MapStorage) -> R) -> R {
-        let meta = &self.slots[slot];
-        let storage = self.groups[meta.group].read();
-        f(&storage[meta.index])
-    }
-
-    /// Approximate bytes held by all stored maps, each counted once
-    /// regardless of how many views share it.
-    pub fn approx_bytes(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| g.read().iter().map(MapStorage::approx_bytes).sum::<usize>())
-            .sum()
-    }
-}
-
-/// Guards + merged copies backing a consistent merged read
-/// ([`SharedMapStore::lock_read_merged`]). Build the [`MapRead`] view
-/// with [`MergedReadGuard::frame`].
-pub struct MergedReadGuard<'a> {
-    plan: FramePlan,
-    guards: Vec<RwLockReadGuard<'a, Vec<MapStorage>>>,
-    overrides: FxHashMap<usize, MapStorage>,
-}
-
-impl MergedReadGuard<'_> {
-    /// Slot-indexed read view: sharded slots answer from their merged
-    /// copies, everything else straight from the locked base storage.
-    pub fn frame(&self) -> MergedFrame<'_> {
-        MergedFrame { guard: self }
-    }
-}
-
-/// [`MapRead`] over a [`MergedReadGuard`].
-pub struct MergedFrame<'a> {
-    guard: &'a MergedReadGuard<'a>,
-}
-
-impl MapRead for MergedFrame<'_> {
-    #[inline]
-    fn map(&self, id: usize) -> &MapStorage {
-        if let Some(m) = self.guard.overrides.get(&id) {
-            return m;
-        }
-        let (position, index) = self.guard.plan.resolve(id);
-        &self.guard.guards[position][index]
     }
 }
 
@@ -1007,75 +678,6 @@ mod tests {
         let b = store.register_view(1, &[reg("B", "fp:b", 0), reg("A2", "fp:a", 0)]);
         let skip = b.skip_targets(store.slot_count());
         assert_eq!(skip, vec![true, false], "shared slot skipped, own slot not");
-    }
-
-    #[test]
-    fn range_shards_redistribute_keyed_state_and_merge_reads() {
-        let mut store = SharedMapStore::new();
-        // One view: BASE_R (keyed by position 0) + Q (accumulator).
-        let b = store.register_view(0, &[reg("BASE_R", "fp:base_r", 1), reg("Q", "fp:q", 1)]);
-        let plan = store.plan(&b.groups);
-        {
-            let mut guards = store.lock_write(plan.groups());
-            let mut frame = plan.write_frame(&mut guards);
-            for k in 0..8i64 {
-                frame.map_mut(b.slots[0]).add(tuple![k], Value::Int(1));
-            }
-            frame.map_mut(b.slots[1]).add(tuple![5i64], Value::Int(50));
-        }
-        let roles: FxHashMap<usize, Option<usize>> = [(b.slots[0], Some(0)), (b.slots[1], None)]
-            .into_iter()
-            .collect();
-        let shard = store.create_range_shard(&b.groups, &roles, 4);
-        // Keyed base emptied, entries redistributed by range_of_value.
-        assert_eq!(store.with_map(b.slots[0], |m| m.len()), 0);
-        for k in 0..8i64 {
-            let range = range_of_value(&Value::Int(k), 4);
-            let rplan = store.range_frame_plan(shard, range);
-            let guards = store.lock_read(rplan.groups());
-            let frame = rplan.read_frame(&guards);
-            assert_eq!(frame.map(b.slots[0]).get(&tuple![k]), Value::Int(1));
-        }
-        // Accumulator base keeps pre-shard contents.
-        assert_eq!(
-            store.with_map(b.slots[1], |m| m.get(&tuple![5i64])),
-            Value::Int(50)
-        );
-        // Per-range writes land in replica rows; merged reads sum
-        // base + replicas (accumulator) / union replicas (keyed).
-        let range = range_of_value(&Value::Int(3), 4);
-        let rplan = store.range_frame_plan(shard, range);
-        {
-            let mut guards = store.lock_write(rplan.groups());
-            let mut frame = rplan.write_frame(&mut guards);
-            frame.map_mut(b.slots[0]).add(tuple![3i64], Value::Int(2));
-            frame.map_mut(b.slots[1]).add(tuple![5i64], Value::Int(7));
-        }
-        assert_eq!(
-            store.with_map_merged(b.slots[0], |m| m.get(&tuple![3i64])),
-            Value::Int(3)
-        );
-        assert_eq!(
-            store.with_map_merged(b.slots[1], |m| m.get(&tuple![5i64])),
-            Value::Int(57)
-        );
-        let merged = store.lock_read_merged(&b.groups);
-        let frame = merged.frame();
-        assert_eq!(frame.map(b.slots[0]).get(&tuple![3i64]), Value::Int(3));
-        assert_eq!(frame.map(b.slots[1]).get(&tuple![5i64]), Value::Int(57));
-        assert!(store.any_sharded());
-        assert_eq!(store.shard_of_group(b.groups[0]), Some(shard));
-        assert!(store.slot_bytes(b.slots[0]) > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "range-sharded group")]
-    fn registering_into_a_sharded_group_panics() {
-        let mut store = SharedMapStore::new();
-        let b = store.register_view(0, &[reg("BASE_R", "fp:base_r", 1)]);
-        let roles: FxHashMap<usize, Option<usize>> = [(b.slots[0], Some(0))].into_iter().collect();
-        store.create_range_shard(&b.groups, &roles, 2);
-        store.register_view(1, &[reg("BASE_R", "fp:base_r", 1)]);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   [`ViewServer::apply_batch`] takes each affected group's write lock
 //!   once per batch; [`ViewServer::apply`] runs a dedicated one-event
 //!   path over the event's cached relation plan, reusing pooled
-//!   [`ApplyCtx`] buffers, so per-event cost tracks the *interested*
+//!   ingestion buffers, so per-event cost tracks the *interested*
 //!   views, not the whole portfolio. Within the batch each event runs
 //!   through a **dependency-ordered stage schedule** across its
 //!   interested views: hierarchy retract statements (stage `-1`, which
@@ -91,10 +91,10 @@ use dbtoaster_common::{
 };
 use dbtoaster_compiler::{compile_sql, CompileOptions, Stage, TriggerProgram, STAGE_DELTA};
 use dbtoaster_runtime::{
-    apply_event_statements, assemble_result, lower_program, ordered_fallback, range_of_value,
-    result_column_names, EventScratch, ExecProgram, FramePlan, LockWaitMetrics, MapRead,
-    MapRegistration, MapWrite, ProfileReport, ResultRow, SharedMapStore, StatementPhase, StmtHooks,
-    StmtProfile, StmtSpans, ViewBinding,
+    apply_event_statements, assemble_result, lower_program, ordered_fallback, result_column_names,
+    EventScratch, ExecProgram, FramePlan, LockWaitMetrics, MapRead, MapRegistration, MapWrite,
+    ProfileReport, ResultRow, SharedMapStore, StatementPhase, StmtHooks, StmtProfile, StmtSpans,
+    ViewBinding,
 };
 use dbtoaster_telemetry::{
     Counter, Gauge, Histogram, MetricsRegistry, SlowEventRing, TraceRecorder, TraceSpan, Unit,
@@ -362,41 +362,10 @@ struct RelationPlan {
     /// stage label, resolved at plan-rebuild time so the hot path never
     /// looks a metric up by name).
     stage_metrics: Vec<StageMetrics>,
-    /// Key-range sharding of this relation, when enabled
-    /// ([`ViewServer::enable_range_sharding`]).
-    shard: Option<RangeShardPlan>,
     /// Events applied for this relation (`dbt_relation_events_total`),
     /// the ingest-side half of the feed-lag gauge: lag = admitted −
     /// applied. A counter, so it records even with histograms disabled.
     events: Arc<Counter>,
-}
-
-/// Server-side key-range sharding state of one relation: the partition
-/// column, the store's shard id, and one cached [`FramePlan`] per range
-/// (a single replica group each), so range-routed ingestion neither
-/// searches nor allocates.
-struct RangeShardPlan {
-    /// Partition column index into the relation's tuples.
-    column: usize,
-    /// Number of key ranges.
-    ranges: usize,
-    /// Shard id in the store's shard table.
-    shard: usize,
-    /// Per-range frame plans over the replica groups.
-    frames: Vec<FramePlan>,
-}
-
-impl RangeShardPlan {
-    /// Deterministic range of one event tuple — the same placement rule
-    /// ([`range_of_value`]) shard-time redistribution used, so an
-    /// event's triggers always find their keyed state in the replica
-    /// the event is routed to.
-    fn route(&self, tuple: &Tuple) -> usize {
-        tuple
-            .0
-            .get(self.column)
-            .map_or(0, |v| range_of_value(v, self.ranges))
-    }
 }
 
 impl RelationPlan {
@@ -424,14 +393,11 @@ struct TraceSpanCtx<'a> {
 
 /// Reusable per-caller ingestion state: the statement-evaluation scratch
 /// buffers plus the staging vector for per-view counters. [`ViewServer`]
-/// keeps a pool so plain [`ViewServer::apply`] / [`apply_batch`] calls
-/// allocate nothing in steady state; callers that ingest from their own
-/// threads (the sharded dispatcher's workers) own one ctx each and use
-/// [`ViewServer::apply_with`] / [`ViewServer::apply_batch_with`].
-///
-/// [`apply_batch`]: ViewServer::apply_batch
+/// keeps a pool so plain [`ViewServer::apply`] / [`ViewServer::apply_batch`]
+/// calls allocate nothing in steady state; the sharded dispatcher's
+/// workers check one out per batch and hold it across their bucket jobs.
 #[derive(Default)]
-pub struct ApplyCtx {
+pub(crate) struct ApplyCtx {
     scratch: EventScratch,
     /// Staged (view, relation, kind, absorbed) counter rows of the
     /// current batch, flushed into the views' atomics at the end.
@@ -781,7 +747,6 @@ impl ViewServer {
                     frame: FramePlan::default(),
                     stages: Vec::new(),
                     stage_metrics: Vec::new(),
-                    shard: None,
                     events,
                 })
                 .views
@@ -830,14 +795,6 @@ impl ViewServer {
             plan.groups.sort_unstable();
             plan.groups.dedup();
             plan.frame = self.store.plan(&plan.groups);
-            // Range frames resolve against the store-wide slot table,
-            // which later registrations grow; regenerate them so every
-            // cached table is sized to the current slot count.
-            if let Some(sp) = &mut plan.shard {
-                sp.frames = (0..sp.ranges)
-                    .map(|r| self.store.range_frame_plan(sp.shard, r))
-                    .collect();
-            }
 
             // Dependency-ordered stage schedule: the delta stage always
             // covers every interested view (it is also the pass that
@@ -943,7 +900,6 @@ impl ViewServer {
             for &i in views {
                 let view = &self.views[i];
                 let hooks = StmtHooks {
-                    log: None,
                     profile: timed.then(|| &*view.stmt_profile),
                     spans: trace.map(|t| StmtSpans {
                         recorder: t.recorder,
@@ -1051,128 +1007,6 @@ impl ViewServer {
         self.dispatch.get(relation).map(|p| p.groups.as_slice())
     }
 
-    /// Split one relation's ingestion across `ranges` key-range shards.
-    ///
-    /// Requires the compiler's partition-key analysis to have qualified
-    /// the relation in *every* interested view (all agreeing on the
-    /// partition column), and the relation's map groups to be exclusive
-    /// to it — no view listening to this relation may listen to another,
-    /// or another relation's unsharded events would write sharded state
-    /// behind the per-range locks' backs. Call after all views are
-    /// registered.
-    ///
-    /// On success, events of the relation are routed by
-    /// [`range_of_value`] of their partition column to one of `ranges`
-    /// replica map groups, each behind its own lock, so ranges ingest
-    /// concurrently. Keyed maps (read by the relation's own triggers at
-    /// a key position carrying the partition column) are redistributed
-    /// into the replicas; accumulator maps collect per-range partials
-    /// that every read path folds back together with the commutative
-    /// monoid — results, snapshots and map reads are bit-identical to
-    /// the unsharded server over any stream. Returns the range count.
-    pub fn enable_range_sharding(&mut self, relation: &str, ranges: usize) -> Result<usize> {
-        if ranges == 0 {
-            return Err(Error::Runtime("range count must be at least 1".into()));
-        }
-        let Some(plan) = self.dispatch.get(relation) else {
-            return Err(Error::Runtime(format!(
-                "no view listens to relation '{relation}'"
-            )));
-        };
-        if plan.shard.is_some() {
-            return Err(Error::Runtime(format!(
-                "relation '{relation}' is already range-sharded"
-            )));
-        }
-        for (other, other_plan) in &self.dispatch {
-            if other != relation && other_plan.groups.iter().any(|g| plan.groups.contains(g)) {
-                return Err(Error::Runtime(format!(
-                    "cannot range-shard '{relation}': its map groups are also \
-                     locked by relation '{other}'"
-                )));
-            }
-        }
-        // Every interested view must have a partition key for this
-        // relation, all on the same column, and the per-slot roles of
-        // views sharing a slot must agree.
-        let mut column: Option<usize> = None;
-        let mut roles: FxHashMap<usize, Option<usize>> = FxHashMap::default();
-        for &i in &plan.views {
-            let view = &self.views[i];
-            let Some(pk) = view.program.partition_key(relation) else {
-                return Err(Error::Runtime(format!(
-                    "relation '{relation}' is not shardable for view '{}' \
-                     (partition-key analysis found no qualifying column)",
-                    view.name
-                )));
-            };
-            match column {
-                None => column = Some(pk.column),
-                Some(c) if c == pk.column => {}
-                Some(c) => {
-                    return Err(Error::Runtime(format!(
-                        "views disagree on the partition column of '{relation}' \
-                         ({c} vs {})",
-                        pk.column
-                    )))
-                }
-            }
-            for (decl, &slot) in view.program.maps.iter().zip(&view.binding.slots) {
-                let Some((_, _, role)) = decl.shard_roles.iter().find(|(r, _, _)| r == relation)
-                else {
-                    continue;
-                };
-                if let Some(prev) = roles.insert(slot, *role) {
-                    if prev != *role {
-                        return Err(Error::Runtime(format!(
-                            "views disagree on the shard role of map '{}'",
-                            decl.name
-                        )));
-                    }
-                }
-            }
-        }
-        let column = column.expect("a dispatched relation has interested views");
-        // The store panics on a missing role; surface it as an error
-        // instead (a slot in the relation's groups no analysis covered).
-        for (slot, meta) in self.store.slots().iter().enumerate() {
-            if plan.groups.contains(&meta.group) && !roles.contains_key(&slot) {
-                return Err(Error::Runtime(format!(
-                    "map slot {slot} lives in '{relation}'s groups but has no \
-                     partition-key role"
-                )));
-            }
-        }
-        let groups = plan.groups.clone();
-        let shard = self.store.create_range_shard(&groups, &roles, ranges);
-        let frames = (0..ranges)
-            .map(|r| self.store.range_frame_plan(shard, r))
-            .collect();
-        let plan = self.dispatch.get_mut(relation).expect("checked above");
-        plan.shard = Some(RangeShardPlan {
-            column,
-            ranges,
-            shard,
-            frames,
-        });
-        self.metrics
-            .registry
-            .gauge(
-                "dbt_dispatch_ranges",
-                "Key ranges a sharded relation's ingestion splits across",
-                &[("relation", relation)],
-            )
-            .set(ranges as i64);
-        Ok(ranges)
-    }
-
-    /// `(partition column, range count)` of a range-sharded relation —
-    /// the routing rule the sharded dispatcher buckets by.
-    pub fn range_sharding(&self, relation: &str) -> Option<(usize, usize)> {
-        let sp = self.dispatch.get(relation)?.shard.as_ref()?;
-        Some((sp.column, sp.ranges))
-    }
-
     fn resolve(&self, name: &str) -> Result<&View> {
         self.views
             .iter()
@@ -1180,14 +1014,13 @@ impl ViewServer {
             .ok_or_else(|| Error::Runtime(format!("unknown view '{name}'")))
     }
 
-    /// Check out a reusable ingestion context (returned on the next
-    /// `apply`/`apply_batch` via the internal pool, or owned by callers
-    /// using the `_with` variants from their own threads).
-    pub fn make_ctx(&self) -> ApplyCtx {
+    /// Check out a reusable ingestion context from the pool; hand it
+    /// back with [`ViewServer::return_ctx`].
+    pub(crate) fn make_ctx(&self) -> ApplyCtx {
         self.ctx_pool.lock().pop().unwrap_or_default()
     }
 
-    fn return_ctx(&self, ctx: ApplyCtx) {
+    pub(crate) fn return_ctx(&self, ctx: ApplyCtx) {
         self.ctx_pool.lock().push(ctx);
     }
 
@@ -1199,8 +1032,8 @@ impl ViewServer {
     /// This is the dedicated single-event fast path: one dispatch
     /// lookup reaches the relation's cached plan (interested views, lock
     /// plan, frame table), locks are taken over exactly those groups,
-    /// and all buffers come from a pooled [`ApplyCtx`] — per-event cost
-    /// tracks the relation's views, not the portfolio size.
+    /// and all buffers come from a pooled ingestion context — per-event
+    /// cost tracks the relation's views, not the portfolio size.
     pub fn apply(&self, event: &Event) -> Result<usize> {
         let mut ctx = self.make_ctx();
         let result = self.apply_with(event, &mut ctx);
@@ -1214,8 +1047,7 @@ impl ViewServer {
     /// all of them), the view's map entries before the event, and its
     /// exact delivered-event count. `span_counts` carries the not-yet-
     /// flushed per-view delivery counts of an in-progress batch span.
-    /// Returns `None` off-sample, and under range sharding (a replica
-    /// frame holds partial map state the oracle cannot replay).
+    /// Returns `None` off-sample.
     fn audit_pre<M: MapRead + ?Sized>(
         &self,
         plan: &RelationPlan,
@@ -1224,7 +1056,7 @@ impl ViewServer {
         frame: &M,
         span_counts: Option<&[(usize, String, EventKind, u64)]>,
     ) -> Option<AuditPre> {
-        if !self.audit.sampled(seq) || plan.views.is_empty() || self.store.any_sharded() {
+        if !self.audit.sampled(seq) || plan.views.is_empty() {
             return None;
         }
         let rotation = (seq / self.audit.sample_one_in()) as usize;
@@ -1309,9 +1141,8 @@ impl ViewServer {
         Ok(false)
     }
 
-    /// [`ViewServer::apply`] with a caller-owned context (for threads
-    /// that ingest continuously and want zero pool traffic).
-    pub fn apply_with(&self, event: &Event, ctx: &mut ApplyCtx) -> Result<usize> {
+    /// [`ViewServer::apply`] with a caller-owned context.
+    fn apply_with(&self, event: &Event, ctx: &mut ApplyCtx) -> Result<usize> {
         let Some(plan) = self.dispatch.get(&event.relation) else {
             return Ok(0);
         };
@@ -1324,21 +1155,13 @@ impl ViewServer {
             seq,
             tid: TraceRecorder::current_tid(),
         });
-        // Range-sharded relations run the event against the replica
-        // frame its partition key hashes to — one range lock, not the
-        // relation's whole plan — so appliers on different ranges
-        // proceed concurrently.
-        let frame_plan: &FramePlan = match &plan.shard {
-            Some(sp) => &sp.frames[sp.route(&event.tuple)],
-            None => &plan.frame,
-        };
         let lock_started = trace_ctx.as_ref().map(|_| Instant::now());
-        let mut guards = self.store.lock_write(frame_plan.groups());
+        let mut guards = self.store.lock_write(plan.frame.groups());
         if let (Some(t), Some(lock_started)) = (&trace_ctx, lock_started) {
             t.recorder.record(TraceSpan {
                 seq: t.seq,
                 layer: LAYER_LOCK.to_string(),
-                detail: format!("groups={}", frame_plan.groups().len()),
+                detail: format!("groups={}", plan.frame.groups().len()),
                 start_ns: t.recorder.ns_of(lock_started),
                 dur_ns: lock_started.elapsed().as_nanos() as u64,
                 tid: t.tid,
@@ -1348,7 +1171,7 @@ impl ViewServer {
         ctx.delivered.clear();
         let mut failure: Option<Error> = None;
         {
-            let mut frame = frame_plan.write_frame(&mut guards);
+            let mut frame = plan.frame.write_frame(&mut guards);
             let audit = self.audit_pre(plan, event, seq, &frame, None);
             if let Err(e) = self.run_event_stages(
                 plan,
@@ -1419,7 +1242,7 @@ impl ViewServer {
     }
 
     /// [`ViewServer::apply_batch`] with a caller-owned context.
-    pub fn apply_batch_with(&self, batch: &[Event], ctx: &mut ApplyCtx) -> Result<usize> {
+    fn apply_batch_with(&self, batch: &[Event], ctx: &mut ApplyCtx) -> Result<usize> {
         // Accepts any event slice; `&EventBatch` coerces via Deref, and
         // `UpdateStream::events.chunks(n)` feeds it zero-copy.
         let base = self.trace.admit(batch.len() as u64);
@@ -1439,24 +1262,12 @@ impl ViewServer {
         result
     }
 
-    /// [`ViewServer::apply_batch_with`] restricted to an index subset of
+    /// [`ViewServer::apply_batch_at`] restricted to an index subset of
     /// the batch (processed in the given order) — the entry point the
     /// zero-copy sharded dispatcher's workers use, so bucketed jobs
-    /// borrow the caller's events instead of cloning them.
-    pub fn apply_batch_indices(
-        &self,
-        batch: &[Event],
-        indices: &[u32],
-        ctx: &mut ApplyCtx,
-    ) -> Result<usize> {
-        let base = self.trace.admit(batch.len() as u64);
-        self.apply_batch_routed(batch, Some(indices), base, ctx)
-    }
-
-    /// [`ViewServer::apply_batch_indices`] with caller-allocated
-    /// admission sequences (see [`ViewServer::apply_batch_at`]); the
-    /// selected event at batch position `i` carries sequence `base + i`.
-    pub fn apply_batch_indices_at(
+    /// borrow the caller's events instead of cloning them. The selected
+    /// event at batch position `i` carries sequence `base + i`.
+    pub(crate) fn apply_batch_indices_at(
         &self,
         batch: &[Event],
         indices: &[u32],
@@ -1466,10 +1277,9 @@ impl ViewServer {
         self.apply_batch_routed(batch, Some(indices), base, ctx)
     }
 
-    /// The shared batch front end: scan the selected events' relations,
-    /// then either run them as one locked span over the union lock plan
-    /// (no sharded relation present — the common path) or bucket them by
-    /// key range first ([`ViewServer::apply_batch_ranged`]).
+    /// The shared batch front end: scan the selected events' relations
+    /// and run them as one locked span over the union of their lock
+    /// plans.
     fn apply_batch_routed(
         &self,
         batch: &[Event],
@@ -1480,7 +1290,6 @@ impl ViewServer {
         // The batch lock plan is the union of the cached relation plans
         // of the distinct relations present.
         let mut relations: Vec<&str> = Vec::new();
-        let mut sharded = false;
         ctx.groups.clear();
         for_each_selected(batch, indices, |_, event| {
             if relations.contains(&event.relation.as_str()) {
@@ -1489,14 +1298,10 @@ impl ViewServer {
             if let Some(plan) = self.dispatch.get(&event.relation) {
                 relations.push(&event.relation);
                 ctx.groups.extend(&plan.groups);
-                sharded |= plan.shard.is_some();
             }
         });
         if relations.is_empty() {
             return Ok(0);
-        }
-        if sharded {
-            return self.apply_batch_ranged(batch, indices, base, ctx);
         }
         ctx.groups.sort_unstable();
         ctx.groups.dedup();
@@ -1514,80 +1319,9 @@ impl ViewServer {
         self.apply_span(batch, indices, frame_plan, base, ctx)
     }
 
-    /// Batch path for batches touching at least one range-sharded
-    /// relation: events are bucketed by destination — one default bucket
-    /// for the unsharded relations (run over their union lock plan), one
-    /// bucket per (sharded relation, key range) — and each bucket runs
-    /// as its own locked span. Buckets write disjoint group sets
-    /// (sharding requires relation-exclusive groups) and each preserves
-    /// arrival order, so the final state is identical to the sequential
-    /// batch path.
-    fn apply_batch_ranged(
-        &self,
-        batch: &[Event],
-        indices: Option<&[u32]>,
-        base: u64,
-        ctx: &mut ApplyCtx,
-    ) -> Result<usize> {
-        let mut default_indices: Vec<u32> = Vec::new();
-        let mut default_relations: Vec<&str> = Vec::new();
-        let mut buckets: Vec<(&str, usize, Vec<u32>)> = Vec::new();
-        for_each_selected(batch, indices, |position, event| {
-            let Some(plan) = self.dispatch.get(&event.relation) else {
-                return;
-            };
-            match &plan.shard {
-                Some(sp) => {
-                    let range = sp.route(&event.tuple);
-                    match buckets
-                        .iter_mut()
-                        .find(|(r, g, _)| *r == event.relation.as_str() && *g == range)
-                    {
-                        Some((_, _, v)) => v.push(position as u32),
-                        None => {
-                            buckets.push((event.relation.as_str(), range, vec![position as u32]))
-                        }
-                    }
-                }
-                None => {
-                    if !default_relations.contains(&event.relation.as_str()) {
-                        default_relations.push(&event.relation);
-                    }
-                    default_indices.push(position as u32);
-                }
-            }
-        });
-        let mut deliveries = 0usize;
-        if !default_indices.is_empty() {
-            let built;
-            let frame_plan: &FramePlan = if default_relations.len() == 1 {
-                &self.dispatch[default_relations[0]].frame
-            } else {
-                ctx.groups.clear();
-                for rel in &default_relations {
-                    ctx.groups.extend(&self.dispatch[*rel].groups);
-                }
-                ctx.groups.sort_unstable();
-                ctx.groups.dedup();
-                built = self.store.plan(&ctx.groups);
-                &built
-            };
-            deliveries += self.apply_span(batch, Some(&default_indices), frame_plan, base, ctx)?;
-        }
-        for (rel, range, bucket) in &buckets {
-            let sp = self.dispatch[*rel]
-                .shard
-                .as_ref()
-                .expect("bucketed as sharded");
-            deliveries += self.apply_span(batch, Some(bucket), &sp.frames[*range], base, ctx)?;
-        }
-        Ok(deliveries)
-    }
-
-    /// The batch execution core: write-lock one frame plan, run the
-    /// selected events through their relations' stage schedules, credit
-    /// stats and latency. Callers pick the frame — the batch's union
-    /// plan, or one range replica of a sharded relation.
+    /// The batch execution core: write-lock the batch's frame plan, run
+    /// the selected events through their relations' stage schedules,
+    /// credit stats and latency.
     fn apply_span(
         &self,
         batch: &[Event],
@@ -1770,16 +1504,9 @@ impl ViewServer {
         result
     }
 
-    /// The current result rows of one view. With range-sharded
-    /// relations in play, sharded maps are read *merged* — base plus the
-    /// pointwise monoid sum of every range replica — so the rows are
-    /// bit-identical to an unsharded server's.
+    /// The current result rows of one view.
     pub fn result(&self, name: &str) -> Result<Vec<ResultRow>> {
         let view = self.resolve(name)?;
-        if self.store.any_sharded() {
-            let guard = self.store.lock_read_merged(view.plan.groups());
-            return Ok(assemble_result(&view.exec, &guard.frame()));
-        }
         let guards = self.store.lock_read(view.plan.groups());
         let frame = view.plan.read_frame(&guards);
         Ok(assemble_result(&view.exec, &frame))
@@ -1807,7 +1534,7 @@ impl ViewServer {
         let Some(slot) = view.exec.map_id(map) else {
             return Ok(None);
         };
-        let mut entries: Vec<(Tuple, Value)> = self.store.with_map_merged(slot, |m| {
+        let mut entries: Vec<(Tuple, Value)> = self.store.with_map(slot, |m| {
             m.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
         });
         entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -1828,7 +1555,9 @@ impl ViewServer {
     }
 
     fn profile_view(&self, view: &View) -> ProfileReport {
-        let collect = |frame: &dyn MapRead| -> Vec<(String, usize, usize)> {
+        let per_map: Vec<(String, usize, usize)> = {
+            let guards = self.store.lock_read(view.plan.groups());
+            let frame = view.plan.read_frame(&guards);
             view.program
                 .maps
                 .iter()
@@ -1838,13 +1567,6 @@ impl ViewServer {
                     (decl.name.clone(), m.len(), m.approx_bytes())
                 })
                 .collect()
-        };
-        let per_map: Vec<(String, usize, usize)> = if self.store.any_sharded() {
-            let guard = self.store.lock_read_merged(view.plan.groups());
-            collect(&guard.frame())
-        } else {
-            let guards = self.store.lock_read(view.plan.groups());
-            collect(&view.plan.read_frame(&guards))
         };
         let mut per_trigger: Vec<(String, u64, Duration)> = view
             .trigger_stats
@@ -1895,16 +1617,6 @@ impl ViewServer {
     /// (every map counted once per sharer): the N× baseline the shared
     /// store collapses.
     pub fn memory_bytes_if_unshared(&self) -> usize {
-        if self.store.any_sharded() {
-            // Sharded slots spread over base plus range replicas;
-            // `slot_bytes` sums the pieces.
-            return self
-                .views
-                .iter()
-                .flat_map(|v| v.binding.slots.iter())
-                .map(|&slot| self.store.slot_bytes(slot))
-                .sum();
-        }
         let guards = self.store.lock_read(self.all_plan.groups());
         let frame = self.all_plan.read_frame(&guards);
         self.views
@@ -1923,10 +1635,7 @@ impl ViewServer {
     /// prepare hook — refreshes them through here, so the panel and a
     /// concurrent scrape cannot disagree about the same walk.
     pub fn store_report(&self) -> StoreReport {
-        let report = if self.store.any_sharded() {
-            let guard = self.store.lock_read_merged(self.all_plan.groups());
-            self.store_report_from(&guard.frame())
-        } else {
+        let report = {
             let guards = self.store.lock_read(self.all_plan.groups());
             self.store_report_from(&self.all_plan.read_frame(&guards))
         };
@@ -2058,10 +1767,7 @@ impl ViewServer {
     /// (the network `snapshot` request), independent of portfolio size.
     pub fn snapshot(&self, name: &str) -> Result<ViewSnapshot> {
         let view = self.resolve(name)?;
-        let rows = if self.store.any_sharded() {
-            let guard = self.store.lock_read_merged(view.plan.groups());
-            assemble_result(&view.exec, &guard.frame())
-        } else {
+        let rows = {
             let guards = self.store.lock_read(view.plan.groups());
             assemble_result(&view.exec, &view.plan.read_frame(&guards))
         };
@@ -2079,24 +1785,17 @@ impl ViewServer {
     /// result is read, so the snapshot reflects one cut of the event
     /// stream even while another thread is applying batches.
     pub fn snapshot_all(&self) -> Vec<ViewSnapshot> {
-        let capture = |frame: &dyn MapRead| -> Vec<ViewSnapshot> {
-            self.views
-                .iter()
-                .map(|v| ViewSnapshot {
-                    name: v.name.clone(),
-                    columns: result_column_names(&v.exec),
-                    rows: assemble_result(&v.exec, frame),
-                    events_processed: v.events_processed.get(),
-                })
-                .collect()
-        };
-        if self.store.any_sharded() {
-            let guard = self.store.lock_read_merged(self.all_plan.groups());
-            capture(&guard.frame())
-        } else {
-            let guards = self.store.lock_read(self.all_plan.groups());
-            capture(&self.all_plan.read_frame(&guards))
-        }
+        let guards = self.store.lock_read(self.all_plan.groups());
+        let frame = self.all_plan.read_frame(&guards);
+        self.views
+            .iter()
+            .map(|v| ViewSnapshot {
+                name: v.name.clone(),
+                columns: result_column_names(&v.exec),
+                rows: assemble_result(&v.exec, &frame),
+                events_processed: v.events_processed.get(),
+            })
+            .collect()
     }
 }
 

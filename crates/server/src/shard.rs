@@ -12,19 +12,13 @@
 //!   relations whose group sets overlap — directly or transitively —
 //!   land in one **partition** (connected component). Two relations in
 //!   different partitions can never touch the same map group, so their
-//!   events commute perfectly.
-//! * **Key-range sharding splits a partition further.** A relation the
-//!   server range-sharded ([`ViewServer::enable_range_sharding`]) owns
-//!   its partition exclusively, and its events are bucketed by
-//!   `(partition, key range)` using the same [`range_of_value`] routing
-//!   the server applies — so a single hot relation fans out across all
-//!   workers instead of serializing on one partition bucket.
+//!   events commute perfectly. Each batch is bucketed by partition.
 //! * **Dispatch is zero-copy.** Buckets are index lists (`Vec<u32>`)
 //!   into the caller's borrowed `&[Event]` slice; workers are spawned
-//!   with `std::thread::scope` and run
-//!   [`ViewServer::apply_batch_indices`] directly against the borrowed
-//!   slice. No event is cloned and no job crosses a queue — the caller's
-//!   thread claims buckets alongside the spawned workers.
+//!   with `std::thread::scope` and apply their bucket's events directly
+//!   from the borrowed slice. No event is cloned and no job crosses a
+//!   queue — the caller's thread claims buckets alongside the spawned
+//!   workers.
 //! * **Single-destination batches bypass the pool.** When every event of
 //!   a batch lands in one bucket (or the effective parallelism is 1),
 //!   the original slice is applied inline on the caller's thread —
@@ -35,19 +29,11 @@
 //! (incremental maintenance is exact), per-view event order is preserved
 //! within a bucket, and a view's relations always share a group (the
 //! view's own group is in every one of its relations' plans) — so all
-//! events of one view are in one bucket, in batch order. Range buckets
-//! refine this per key range: a range-sharded relation's replica groups
-//! are written only through that range's bucket, in arrival order, and
-//! every read path folds the per-range partials back together with the
-//! commutative monoid. Hence every view sees exactly the state it would
-//! have reached sequentially, and snapshots after the batch are
-//! identical. Error semantics differ in one corner: a malformed event
-//! aborts only its own bucket's remainder, not the whole batch (the
-//! earliest bucket's error is returned).
-//!
-//! [`ViewServer::apply_batch`]: crate::ViewServer::apply_batch
-//! [`ViewServer::apply_batch_indices`]: crate::ViewServer::apply_batch_indices
-//! [`ViewServer::enable_range_sharding`]: crate::ViewServer::enable_range_sharding
+//! events of one view are in one bucket, in batch order. Hence every
+//! view sees exactly the state it would have reached sequentially, and
+//! snapshots after the batch are identical. Error semantics differ in
+//! one corner: a malformed event aborts only its own bucket's remainder,
+//! not the whole batch (the earliest bucket's error is returned).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -56,7 +42,6 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use dbtoaster_common::{Error, Event, EventSource, FxHashMap, Result};
-use dbtoaster_runtime::range_of_value;
 use dbtoaster_telemetry::{
     Counter, Histogram, MetricsRegistry, TraceRecorder, TraceSpan, Unit, LAYER_DISPATCH,
 };
@@ -77,8 +62,6 @@ pub struct DispatchReport {
     pub sequential_batches: u64,
     /// Buckets executed across all parallel batches.
     pub jobs: u64,
-    /// Jobs that targeted one key range of a range-sharded relation.
-    pub range_jobs: u64,
     /// Worker count the dispatcher runs with (1 = inline). Chosen by
     /// the caller or autotuned from the machine's parallelism.
     pub workers: u64,
@@ -100,9 +83,7 @@ fn hardware_parallelism() -> usize {
 /// independent partitions: the machine's available parallelism, clamped
 /// to `[1, MAX_AUTO_WORKERS]` and capped at the partition count — more
 /// workers than partitions can never be busy at once, and a one-partition
-/// portfolio degenerates to inline sequential application. (Range-
-/// sharded portfolios size by hand instead: one partition can then keep
-/// many workers busy.)
+/// portfolio degenerates to inline sequential application.
 pub fn auto_workers(partitions: usize) -> usize {
     hardware_parallelism()
         .clamp(1, MAX_AUTO_WORKERS)
@@ -162,15 +143,10 @@ struct WorkerMetrics {
     busy: Arc<Counter>,
 }
 
-/// Bucket key: `(partition, key range)`; `usize::MAX` marks the
-/// whole-partition bucket of an unsharded relation.
-const NO_RANGE: usize = usize::MAX;
-
 /// Parallel ingestion driver: buckets each batch by relation-group
-/// partition — refined by key range for range-sharded relations — and
-/// runs independent buckets concurrently on scoped std threads borrowing
-/// the caller's event slice. See the module docs for the equivalence
-/// argument.
+/// partition and runs independent buckets concurrently on scoped std
+/// threads borrowing the caller's event slice. See the module docs for
+/// the equivalence argument.
 pub struct ShardedDispatcher {
     server: Arc<ViewServer>,
     registry: Arc<MetricsRegistry>,
@@ -183,9 +159,6 @@ pub struct ShardedDispatcher {
     partition_of: FxHashMap<String, usize>,
     /// Number of partitions (connected components of group overlap).
     partitions: usize,
-    /// relation name → `(partition column, ranges)` for relations the
-    /// server range-sharded before this dispatcher was built.
-    shard_info: FxHashMap<String, (usize, usize)>,
     /// Dispatch counters, registered in the server's metrics registry
     /// (`dbt_dispatch_*_total`) so [`DispatchReport`] and a scrape read
     /// the same atomics.
@@ -194,9 +167,8 @@ pub struct ShardedDispatcher {
     parallel_batches: Arc<Counter>,
     sequential_batches: Arc<Counter>,
     jobs: Arc<Counter>,
-    range_jobs: Arc<Counter>,
     /// Events per bucket of parallel batches — how evenly the partition
-    /// and range plans split real traffic.
+    /// plan splits real traffic.
     bucket_size: Arc<Histogram>,
     /// Per-worker counters, indexed by scoped-worker id.
     worker_metrics: Vec<WorkerMetrics>,
@@ -205,11 +177,8 @@ pub struct ShardedDispatcher {
 impl ShardedDispatcher {
     /// Build a dispatcher over a fully registered server. `workers` is
     /// the maximum number of concurrent scoped workers; `0` or `1`
-    /// applies every batch inline. Registration (and any
-    /// [`ViewServer::enable_range_sharding`] calls) must be complete:
-    /// the partition and range plans are computed here, once.
-    ///
-    /// [`ViewServer::enable_range_sharding`]: crate::ViewServer::enable_range_sharding
+    /// applies every batch inline. Registration must be complete: the
+    /// partition plan is computed here, once.
     pub fn new(server: Arc<ViewServer>, workers: usize) -> ShardedDispatcher {
         let (partition_of, partitions) = plan_partitions(&server);
         ShardedDispatcher::build(server, workers, partition_of, partitions)
@@ -234,10 +203,6 @@ impl ShardedDispatcher {
     ) -> ShardedDispatcher {
         let registry = Arc::clone(server.metrics());
         let workers = workers.max(1);
-        let shard_info = partition_of
-            .keys()
-            .filter_map(|rel| server.range_sharding(rel).map(|s| (rel.clone(), s)))
-            .collect();
         let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
         let worker_metrics = (0..workers)
             .map(|w| {
@@ -261,7 +226,6 @@ impl ShardedDispatcher {
             force_spawn: false,
             partition_of,
             partitions,
-            shard_info,
             batches: counter("dbt_dispatch_batches_total", "Batches accepted"),
             events: counter(
                 "dbt_dispatch_events_total",
@@ -276,10 +240,6 @@ impl ShardedDispatcher {
                 "Batches applied inline (one occupied bucket, or 1 effective worker)",
             ),
             jobs: counter("dbt_dispatch_jobs_total", "Buckets executed as jobs"),
-            range_jobs: counter(
-                "dbt_dispatch_range_jobs_total",
-                "Jobs that targeted one key range of a range-sharded relation",
-            ),
             bucket_size: registry.histogram(
                 "dbt_shard_bucket_size_events",
                 "Events per bucket of parallel batches",
@@ -320,8 +280,7 @@ impl ShardedDispatcher {
     }
 
     /// Number of independent partitions the registered portfolio
-    /// splits into — the maximum parallelism an *unsharded* batch can
-    /// reach (range-sharded relations multiply this by their ranges).
+    /// splits into — the maximum parallelism a batch can reach.
     pub fn partitions(&self) -> usize {
         self.partitions
     }
@@ -349,7 +308,6 @@ impl ShardedDispatcher {
             parallel_batches: self.parallel_batches.get(),
             sequential_batches: self.sequential_batches.get(),
             jobs: self.jobs.get(),
-            range_jobs: self.range_jobs.get(),
             workers: self.workers as u64,
         }
     }
@@ -389,26 +347,18 @@ impl ShardedDispatcher {
             return self.apply_inline(batch, base);
         }
 
-        // Bucket the events: index lists per (partition, key range),
-        // original order preserved within each bucket. Events on
-        // relations no view listens to are dropped — sequential
-        // apply_batch ignores them identically.
-        let mut buckets: Vec<((usize, usize), Vec<u32>)> = Vec::new();
+        // Bucket the events: index lists per partition, original order
+        // preserved within each bucket. Events on relations no view
+        // listens to are dropped — sequential apply_batch ignores them
+        // identically.
+        let mut buckets: Vec<(usize, Vec<u32>)> = Vec::new();
         for (i, event) in batch.iter().enumerate() {
             let Some(&p) = self.partition_of.get(&event.relation) else {
                 continue;
             };
-            let range = match self.shard_info.get(&event.relation) {
-                Some(&(column, ranges)) => event
-                    .tuple
-                    .0
-                    .get(column)
-                    .map_or(0, |v| range_of_value(v, ranges)),
-                None => NO_RANGE,
-            };
-            match buckets.iter_mut().find(|(k, _)| *k == (p, range)) {
+            match buckets.iter_mut().find(|(k, _)| *k == p) {
                 Some((_, v)) => v.push(i as u32),
-                None => buckets.push(((p, range), vec![i as u32])),
+                None => buckets.push((p, vec![i as u32])),
             }
         }
 
@@ -422,11 +372,8 @@ impl ShardedDispatcher {
 
         self.parallel_batches.inc();
         self.jobs.add(buckets.len() as u64);
-        for ((_, range), bucket) in &buckets {
+        for (_, bucket) in &buckets {
             self.bucket_size.record(bucket.len() as u64);
-            if *range != NO_RANGE {
-                self.range_jobs.inc();
-            }
         }
 
         // Scoped zero-copy execution: workers claim buckets off a shared
@@ -448,7 +395,7 @@ impl ShardedDispatcher {
             };
             loop {
                 let b = next.fetch_add(1, Ordering::Relaxed);
-                let Some(((partition, range), bucket)) = buckets.get(b) else {
+                let Some((partition, bucket)) = buckets.get(b) else {
                     break;
                 };
                 metrics.jobs.inc();
@@ -471,12 +418,7 @@ impl ShardedDispatcher {
                                 trace.record(TraceSpan {
                                     seq,
                                     layer: LAYER_DISPATCH.to_string(),
-                                    detail: match *range {
-                                        NO_RANGE => {
-                                            format!("partition={partition} worker={w}")
-                                        }
-                                        r => format!("partition={partition} range={r} worker={w}"),
-                                    },
+                                    detail: format!("partition={partition} worker={w}"),
                                     start_ns: trace.ns_of(started),
                                     dur_ns,
                                     tid,
@@ -657,7 +599,6 @@ mod tests {
         assert_eq!(report.batches, 1);
         assert_eq!(report.parallel_batches, 1);
         assert_eq!(report.jobs, 3, "one job per occupied partition");
-        assert_eq!(report.range_jobs, 0, "no relation is range-sharded");
     }
 
     #[test]

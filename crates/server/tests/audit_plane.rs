@@ -41,8 +41,9 @@ fn a_clean_randomized_run_audits_with_zero_mismatches() {
         ..OrderBookConfig::default()
     })
     .generate();
-    // Mixed ingestion: singles exercise the apply_with hook, batches
-    // the apply_span hook.
+    // Mixed ingestion: singles exercise the audit hook on the
+    // single-event path (`apply`), batches the one on the batched path
+    // (`apply_batch`).
     let (singles, rest) = stream.events.split_at(200);
     for event in singles {
         server.apply(event).unwrap();

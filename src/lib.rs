@@ -115,8 +115,8 @@ pub mod prelude {
     pub use dbtoaster_compiler::{CompileOptions, TriggerProgram};
     pub use dbtoaster_runtime::{Engine, ResultRow, StandaloneServer};
     pub use dbtoaster_server::{
-        ApplyCtx, DispatchReport, IngestReport, ShardedDispatcher, StoreMapReport, StoreReport,
-        ViewId, ViewServer, ViewSnapshot,
+        DispatchReport, IngestReport, ShardedDispatcher, StoreMapReport, StoreReport, ViewId,
+        ViewServer, ViewSnapshot,
     };
 }
 
@@ -200,7 +200,7 @@ impl StandingQuery {
         self.engine.profile()
     }
 
-    /// Direct access to the underlying engine (tracing, memory, ...).
+    /// Direct access to the underlying engine (profiling, memory, ...).
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }

@@ -10,8 +10,10 @@
 //! must carry the same histogram summaries the registry holds, and the
 //! slow-event ring must surface over the `debug` request.
 
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::Path;
 
 use dbtoaster::net::{FeedWriter, NetClient, NetConfig, NetServer};
 use dbtoaster::prelude::*;
@@ -184,6 +186,113 @@ fn scraped_counters_match_the_sequential_reference() {
     let slow = client.debug_slow_events().unwrap();
     assert!(!slow.is_empty(), "slow ring empty despite threshold 0");
     assert!(slow.windows(2).all(|w| w[0].seq < w[1].seq));
+
+    client.shutdown_server().unwrap();
+    server.wait();
+}
+
+/// Every `dbt_*` family named in the first cell of a row of README's
+/// metric table.
+fn readme_families() -> BTreeSet<String> {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md at the repository root");
+    readme
+        .lines()
+        .filter(|line| line.starts_with("| `dbt_"))
+        .flat_map(|line| {
+            let first_cell = line.split('|').nth(1).unwrap_or("");
+            first_cell
+                .split('`')
+                .filter(|token| token.starts_with("dbt_"))
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// Every `"dbt_…"` string literal in the Rust sources under `dir`.
+fn dbt_literals(dir: &Path, out: &mut BTreeSet<String>) {
+    for entry in std::fs::read_dir(dir).expect("readable source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                dbt_literals(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let source = std::fs::read_to_string(&path).expect("readable source file");
+            for (i, _) in source.match_indices("\"dbt_") {
+                let name: String = source[i + 1..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                    .collect();
+                out.insert(name);
+            }
+        }
+    }
+}
+
+/// README's metric table and the registry agree both ways: a live
+/// daemon's scrape (metrics, slow ring, auditor and health plane all on)
+/// exposes no family the table omits, and every family the table lists
+/// is registered by some `"dbt_…"` literal in the workspace crates.
+#[test]
+fn readme_metric_table_and_registered_families_agree_both_ways() {
+    let documented = readme_families();
+    assert!(
+        documented.len() > 20,
+        "metric table not found: {documented:?}"
+    );
+
+    let config = NetConfig {
+        slow_event_us: Some(0),
+        audit_sample: Some(7),
+        ..NetConfig::default()
+    };
+    let server = NetServer::bind(&orderbook_catalog(), "127.0.0.1:0", config).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    for (name, sql) in portfolio() {
+        client.register(name, sql).unwrap();
+    }
+    server.set_metrics_enabled(true);
+    let http = MetricsHttpServer::bind_with_planes(
+        "127.0.0.1:0",
+        server.metrics(),
+        Some(server.store_metrics_refresher()),
+        None,
+        Some(server.health_fn()),
+    )
+    .unwrap();
+    let stream = orderbook_stream(500, 11);
+    let mut feeder = FeedWriter::connect(server.local_addr()).unwrap();
+    for chunk in stream.events.chunks(64) {
+        feeder.send(chunk).unwrap();
+    }
+    feeder.finish_and_ack().unwrap();
+    let body = scrape(http.addr());
+
+    let scraped: BTreeSet<String> = body
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.split_whitespace().next())
+        .map(str::to_string)
+        .collect();
+    assert!(scraped.contains("dbt_view_events_total"), "{body}");
+    let undocumented: Vec<&String> = scraped.difference(&documented).collect();
+    assert!(
+        undocumented.is_empty(),
+        "scraped families missing from README's metric table: {undocumented:?}"
+    );
+
+    let mut registered = BTreeSet::new();
+    dbt_literals(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("crates"),
+        &mut registered,
+    );
+    let unregistered: Vec<&String> = documented.difference(&registered).collect();
+    assert!(
+        unregistered.is_empty(),
+        "README documents families nothing registers: {unregistered:?}"
+    );
 
     client.shutdown_server().unwrap();
     server.wait();
