@@ -20,9 +20,10 @@
 //! vs sequential, partition/bucket counters, and the machine's available
 //! parallelism). One acceptance gate runs inside it: on any machine, the
 //! zero-copy dispatcher must not regress the portfolio below sequential
-//! at any worker count (≥ 0.95× after noise; on a 1-core host every
-//! over-provisioned worker count short-circuits to the inline path, so
-//! this checks that short-circuit too).
+//! at any worker count (≥ 0.95× after noise). Each mode runs the worker
+//! count it asks for, whatever the host's core count, so on a host with
+//! fewer cores than workers the gate also checks that time-shared
+//! workers do not lose to the sequential path.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -157,9 +158,8 @@ fn emit_json(_c: &mut Criterion) {
         }
         let speedup = rate / sequential_rate;
         // No-regression gate: the zero-copy scoped dispatcher must
-        // never lose to plain apply_batch — over-provisioned worker
-        // counts short-circuit to the inline path, so even a 1-core
-        // host pays only a `min` per batch. 0.95 absorbs timer noise.
+        // never lose to plain apply_batch, even with more workers than
+        // cores. 0.95 absorbs timer noise.
         assert!(
             speedup >= 0.95,
             "workers{workers} regressed below sequential: {speedup:.3}x"

@@ -22,8 +22,9 @@
 //! * `--view "NAME=SQL"` — register a standing query at startup
 //!   (repeatable; clients can also `register` over the wire until the
 //!   first batch arrives).
-//! * `--workers N` — dispatcher worker-pool size (default: autotuned
-//!   from available parallelism and the portfolio's partitions).
+//! * `--workers N` — dispatcher worker-pool size, used as given but
+//!   capped at the portfolio's partition count (default: the machine's
+//!   available parallelism, read once, under the same cap).
 //! * `--queue-depth N` — bound of the ingest queue, in batches
 //!   (default 64).
 //! * `--feed-batch N` — max events per batch pulled from a feed

@@ -64,8 +64,9 @@ use crate::wire::{
 /// Tunables of a [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Dispatcher worker-pool size; `None` autotunes from the machine's
-    /// available parallelism and the portfolio's partition count.
+    /// Dispatcher worker-pool size, used as given but capped at the
+    /// portfolio's partition count; `None` autotunes from the machine's
+    /// available parallelism, read once when the dispatcher is built.
     pub workers: Option<usize>,
     /// Bound of the central ingest queue, in batches. Admission blocks
     /// when full — the back-pressure that keeps memory flat when

