@@ -12,7 +12,7 @@
 use dbtoaster_calculus::{
     delta, simplify, translate_query, trigger_args, CalcExpr, QueryCalc, Var,
 };
-use dbtoaster_common::{Catalog, Error, Event, EventKind, FxHashMap, Result, Tuple, Value};
+use dbtoaster_common::{Catalog, Error, Event, FxHashMap, Result, Tuple, Value};
 use dbtoaster_exec::{assemble_from_maps, evaluate_groups, Database, Env};
 use dbtoaster_sql::{analyze, parse_query};
 
@@ -30,8 +30,9 @@ struct MaintenanceQuery {
 pub struct FirstOrderIvmEngine {
     query: QueryCalc,
     db: Database,
-    /// (relation, event kind) -> maintenance queries to run.
-    maintenance: FxHashMap<(String, EventKind), Vec<MaintenanceQuery>>,
+    /// relation -> maintenance queries to run, for inserts and deletes
+    /// alike (the delta's weight argument is bound to the event's sign).
+    maintenance: FxHashMap<String, Vec<MaintenanceQuery>>,
     /// Materialized result maps.
     maps: FxHashMap<String, FxHashMap<Tuple, Value>>,
 }
@@ -40,8 +41,7 @@ impl FirstOrderIvmEngine {
     pub fn new(sql: &str, catalog: &Catalog) -> Result<FirstOrderIvmEngine> {
         let bound = analyze(&parse_query(sql)?, catalog)?;
         let query = translate_query(&bound, "Q")?;
-        let mut maintenance: FxHashMap<(String, EventKind), Vec<MaintenanceQuery>> =
-            FxHashMap::default();
+        let mut maintenance: FxHashMap<String, Vec<MaintenanceQuery>> = FxHashMap::default();
         let mut maps = FxHashMap::default();
 
         for spec in &query.maps {
@@ -50,25 +50,22 @@ impl FirstOrderIvmEngine {
                 let schema = catalog.expect(&relation)?;
                 let columns: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
                 let args = trigger_args(&relation, &columns);
-                for kind in [EventKind::Insert, EventKind::Delete] {
-                    let d = delta(&spec.definition, &relation, kind, &args);
-                    if d.is_zero() {
-                        continue;
-                    }
-                    let mut protected: std::collections::BTreeSet<Var> =
-                        args.iter().cloned().collect();
-                    protected.extend(spec.keys.iter().cloned());
-                    let simplified = simplify(&d, &protected);
-                    maintenance
-                        .entry((relation.clone(), kind))
-                        .or_default()
-                        .push(MaintenanceQuery {
-                            map: spec.name.clone(),
-                            keys: spec.keys.clone(),
-                            args: args.clone(),
-                            delta_expr: simplified,
-                        });
+                let d = delta(&spec.definition, &relation, &args);
+                if d.is_zero() {
+                    continue;
                 }
+                let mut protected: std::collections::BTreeSet<Var> = args.iter().cloned().collect();
+                protected.extend(spec.keys.iter().cloned());
+                let simplified = simplify(&d, &protected);
+                maintenance
+                    .entry(relation.clone())
+                    .or_default()
+                    .push(MaintenanceQuery {
+                        map: spec.name.clone(),
+                        keys: spec.keys.clone(),
+                        args,
+                        delta_expr: simplified,
+                    });
             }
         }
         Ok(FirstOrderIvmEngine {
@@ -88,16 +85,18 @@ impl StandingQueryEngine for FirstOrderIvmEngine {
     fn on_event(&mut self, event: &Event) -> Result<()> {
         // Evaluate maintenance queries against the pre-state, then apply
         // the event to the base tables.
-        if let Some(queries) = self.maintenance.get(&(event.relation.clone(), event.kind)) {
+        if let Some(queries) = self.maintenance.get(&event.relation) {
+            let weight = Value::Int(event.kind.sign());
             for mq in queries {
-                if event.tuple.arity() != mq.args.len() {
+                // The arguments are the tuple's columns, then the weight.
+                if event.tuple.arity() + 1 != mq.args.len() {
                     return Err(Error::Runtime(format!(
                         "event arity mismatch on {}",
                         event.relation
                     )));
                 }
                 let mut env = Env::default();
-                for (arg, value) in mq.args.iter().zip(event.tuple.iter()) {
+                for (arg, value) in mq.args.iter().zip(event.tuple.iter().chain([&weight])) {
                     env.insert(arg.clone(), value.clone());
                 }
                 let deltas = evaluate_groups(

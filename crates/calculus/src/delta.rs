@@ -1,12 +1,14 @@
 //! The delta transformation.
 //!
-//! For an event `±R(a1..ak)` (insert or delete of a single tuple whose
-//! fields are named by fresh trigger variables `a1..ak`), `delta(e)` is a
-//! calculus expression denoting how the value of `e` changes:
+//! An event on `R(a1..ak)` is one tuple, its fields named by fresh trigger
+//! variables `a1..ak`, with an integer weight `w`: `+1` for an insert,
+//! `−1` for a delete (a row of a Z-set, as in DBSP). `delta(e)` is a
+//! calculus expression over the trigger variables and `w` denoting how the
+//! value of `e` changes, so one delta serves both event kinds:
 //!
-//! * `ΔR(x1..xk) = [x1 = a1] * ... * [xk = ak]`, negated for deletes (so
-//!   that self-joins obtain the correct `(-1)·(-1)` sign on the
-//!   second-order term),
+//! * `ΔR(x1..xk) = w * [x1 = a1] * ... * [xk = ak]` (so a self-join's
+//!   second-order term carries `w·w`, which is `+1` for both kinds and
+//!   stays exact for any other weight),
 //! * deltas of constants, value expressions, comparisons and references
 //!   to already-materialized maps are zero (maps are maintained by their
 //!   own triggers),
@@ -29,14 +31,17 @@
 //! processing of the VLDB 2012 follow-up paper), with full re-evaluation
 //! (`Replace`) retained only as a debug/oracle mode.
 
-use dbtoaster_common::EventKind;
-
 use crate::expr::{CalcExpr, CmpOp, ValExpr, Var};
 
-/// Default trigger-argument variable names for an event on `relation`
-/// with the given column names: lower-cased column names, which keeps the
-/// generated programs readable (`a`, `b` for an insert into `R(A, B)` as
-/// in the paper's Figure 2).
+/// The trigger argument bound to the event's weight (`+1` insert, `−1`
+/// delete); it cannot collide, as every other variable has an underscore.
+pub const WEIGHT: &str = "w";
+
+/// Trigger-argument variable names for an event on `relation` with the
+/// given column names: one lower-cased `relation_column` name per column,
+/// in schema order, which keeps the generated programs readable (`r_a`,
+/// `r_b` for `R(A, B)`, the paper's `a`, `b` in Figure 2), then the
+/// event weight [`WEIGHT`].
 pub fn trigger_args(relation: &str, columns: &[String]) -> Vec<Var> {
     columns
         .iter()
@@ -47,13 +52,14 @@ pub fn trigger_args(relation: &str, columns: &[String]) -> Vec<Var> {
                 c.to_ascii_lowercase()
             )
         })
+        .chain(std::iter::once(WEIGHT.to_string()))
         .collect()
 }
 
-/// Compute the delta of `expr` for a single-tuple event of `kind` on
+/// Compute the delta of `expr` for a weighted single-tuple event on
 /// `relation`, whose tuple fields are bound to the trigger variables
-/// `args` (one per column, in schema order).
-pub fn delta(expr: &CalcExpr, relation: &str, kind: EventKind, args: &[Var]) -> CalcExpr {
+/// `args` ([`trigger_args`]: one per column, then the weight).
+pub fn delta(expr: &CalcExpr, relation: &str, args: &[Var]) -> CalcExpr {
     match expr {
         CalcExpr::Val(_) | CalcExpr::Cmp { .. } | CalcExpr::MapRef { .. } => CalcExpr::zero(),
         CalcExpr::Rel { name, vars } => {
@@ -61,42 +67,32 @@ pub fn delta(expr: &CalcExpr, relation: &str, kind: EventKind, args: &[Var]) -> 
                 return CalcExpr::zero();
             }
             debug_assert_eq!(
-                vars.len(),
+                vars.len() + 1,
                 args.len(),
                 "trigger arity mismatch for relation {relation}"
             );
-            let eqs = vars
-                .iter()
-                .zip(args.iter())
-                .map(|(v, a)| CalcExpr::Cmp {
-                    op: CmpOp::Eq,
-                    left: ValExpr::Var(v.clone()),
-                    right: ValExpr::Var(a.clone()),
-                })
-                .collect();
-            let product = CalcExpr::product(eqs);
-            match kind {
-                EventKind::Insert => product,
-                EventKind::Delete => CalcExpr::Neg(Box::new(product)),
-            }
+            let weight = CalcExpr::Val(ValExpr::var(WEIGHT));
+            let eqs = vars.iter().zip(args.iter()).map(|(v, a)| CalcExpr::Cmp {
+                op: CmpOp::Eq,
+                left: ValExpr::Var(v.clone()),
+                right: ValExpr::Var(a.clone()),
+            });
+            CalcExpr::product(std::iter::once(weight).chain(eqs).collect())
         }
-        CalcExpr::Sum(terms) => CalcExpr::sum(
-            terms
-                .iter()
-                .map(|t| delta(t, relation, kind, args))
-                .collect(),
-        ),
+        CalcExpr::Sum(terms) => {
+            CalcExpr::sum(terms.iter().map(|t| delta(t, relation, args)).collect())
+        }
         CalcExpr::Neg(e) => {
-            let d = delta(e, relation, kind, args);
+            let d = delta(e, relation, args);
             if d.is_zero() {
                 CalcExpr::zero()
             } else {
                 CalcExpr::Neg(Box::new(d))
             }
         }
-        CalcExpr::Prod(factors) => delta_product(factors, relation, kind, args),
+        CalcExpr::Prod(factors) => delta_product(factors, relation, args),
         CalcExpr::AggSum { group, body } => {
-            let d = delta(body, relation, kind, args);
+            let d = delta(body, relation, args);
             if d.is_zero() {
                 CalcExpr::zero()
             } else {
@@ -104,7 +100,7 @@ pub fn delta(expr: &CalcExpr, relation: &str, kind: EventKind, args: &[Var]) -> 
             }
         }
         CalcExpr::Lift { var, body } => {
-            let d = delta(body, relation, kind, args);
+            let d = delta(body, relation, args);
             if d.is_zero() {
                 CalcExpr::zero()
             } else {
@@ -122,7 +118,7 @@ pub fn delta(expr: &CalcExpr, relation: &str, kind: EventKind, args: &[Var]) -> 
             }
         }
         CalcExpr::Exists(body) => {
-            let d = delta(body, relation, kind, args);
+            let d = delta(body, relation, args);
             if d.is_zero() {
                 CalcExpr::zero()
             } else {
@@ -137,16 +133,16 @@ pub fn delta(expr: &CalcExpr, relation: &str, kind: EventKind, args: &[Var]) -> 
 
 /// `Δ(f1 · f2 · ... · fn)` by the discrete product rule, computed
 /// recursively as `Δf1·rest + f1·Δrest + Δf1·Δrest`.
-fn delta_product(factors: &[CalcExpr], relation: &str, kind: EventKind, args: &[Var]) -> CalcExpr {
+fn delta_product(factors: &[CalcExpr], relation: &str, args: &[Var]) -> CalcExpr {
     match factors.len() {
         0 => CalcExpr::zero(),
-        1 => delta(&factors[0], relation, kind, args),
+        1 => delta(&factors[0], relation, args),
         _ => {
             let head = &factors[0];
             let rest = &factors[1..];
-            let d_head = delta(head, relation, kind, args);
+            let d_head = delta(head, relation, args);
             let rest_expr = CalcExpr::product(rest.to_vec());
-            let d_rest = delta_product(rest, relation, kind, args);
+            let d_rest = delta_product(rest, relation, args);
 
             let mut terms = Vec::new();
             if !d_head.is_zero() {
@@ -166,7 +162,15 @@ fn delta_product(factors: &[CalcExpr], relation: &str, kind: EventKind, args: &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbtoaster_common::EventKind::{Delete, Insert};
+
+    /// Trigger arguments: the given column variables, then the weight.
+    fn args(columns: &[&str]) -> Vec<Var> {
+        columns
+            .iter()
+            .map(|c| c.to_string())
+            .chain(std::iter::once(WEIGHT.to_string()))
+            .collect()
+    }
 
     fn rst_body() -> CalcExpr {
         CalcExpr::product(vec![
@@ -183,30 +187,28 @@ mod tests {
     #[test]
     fn delta_of_an_unrelated_relation_is_zero() {
         let e = CalcExpr::rel("S", vec!["B", "C"]);
-        assert!(delta(&e, "R", Insert, &["a".into(), "b".into()]).is_zero());
+        assert!(delta(&e, "R", &args(&["a", "b"])).is_zero());
     }
 
     #[test]
-    fn delta_of_a_relation_atom_is_a_product_of_equalities() {
+    fn delta_of_a_relation_atom_is_the_weight_times_equalities() {
         let e = CalcExpr::rel("R", vec!["R_A", "R_B"]);
-        let d = delta(&e, "R", Insert, &["r_a".into(), "r_b".into()]);
-        assert_eq!(d.to_string(), "([R_A = r_a] * [R_B = r_b])");
-        let d = delta(&e, "R", Delete, &["r_a".into(), "r_b".into()]);
-        assert_eq!(d.to_string(), "-(([R_A = r_a] * [R_B = r_b]))");
+        let d = delta(&e, "R", &args(&["r_a", "r_b"]));
+        assert_eq!(d.to_string(), "(w * [R_A = r_a] * [R_B = r_b])");
     }
 
     #[test]
     fn delta_of_constants_maps_and_comparisons_is_zero() {
-        let args = vec!["x".to_string()];
-        assert!(delta(&CalcExpr::constant(5), "R", Insert, &args).is_zero());
-        assert!(delta(&CalcExpr::map_ref("Q_D", vec!["B"]), "R", Insert, &args).is_zero());
-        assert!(delta(&CalcExpr::eq_vars("X", "Y"), "R", Insert, &args).is_zero());
+        let args = args(&["x"]);
+        assert!(delta(&CalcExpr::constant(5), "R", &args).is_zero());
+        assert!(delta(&CalcExpr::map_ref("Q_D", vec!["B"]), "R", &args).is_zero());
+        assert!(delta(&CalcExpr::eq_vars("X", "Y"), "R", &args).is_zero());
     }
 
     #[test]
     fn product_rule_produces_one_first_order_term_for_single_occurrence() {
         // Only R mentions relation R, so ΔR·rest is the only non-zero term.
-        let d = delta(&rst_body(), "R", Insert, &["a".into(), "b".into()]);
+        let d = delta(&rst_body(), "R", &args(&["a", "b"]));
         match &d {
             CalcExpr::Prod(_) => {}
             CalcExpr::Sum(ts) => panic!("expected a single product term, got {} terms", ts.len()),
@@ -222,28 +224,30 @@ mod tests {
     }
 
     #[test]
-    fn self_join_delta_has_second_order_term() {
+    fn self_join_delta_has_a_second_order_term_weighted_twice() {
         // sum over R(x) x R(y): delta has 3 terms including ΔR·ΔR.
         let e = CalcExpr::product(vec![
             CalcExpr::rel("R", vec!["X"]),
             CalcExpr::rel("R", vec!["Y"]),
         ]);
-        let d = delta(&e, "R", Insert, &["v".into()]);
-        match &d {
-            CalcExpr::Sum(ts) => assert_eq!(ts.len(), 3),
-            other => panic!("expected 3-term sum, got {other}"),
-        }
-        // For deletes, the second-order term must be positive: (-1)·(-1).
-        let d = delta(&e, "R", Delete, &["v".into()]);
-        let s = d.to_string();
-        // terms 1 and 2 carry one negation each, term 3 carries two.
-        assert_eq!(s.matches("-([").count(), 4, "{s}");
+        let d = delta(&e, "R", &args(&["v"]));
+        let CalcExpr::Sum(ts) = &d else {
+            panic!("expected 3-term sum, got {d}");
+        };
+        assert_eq!(ts.len(), 3);
+        // The first-order terms carry w once; ΔR·ΔR carries w·w, which a
+        // delete's w = −1 turns into +1.
+        let weights: Vec<usize> = ts
+            .iter()
+            .map(|t| t.to_string().matches("w *").count())
+            .collect();
+        assert_eq!(weights, vec![1, 1, 2], "{d}");
     }
 
     #[test]
     fn delta_commutes_with_aggsum() {
         let e = CalcExpr::agg_sum(vec!["R_B".into()], rst_body());
-        let d = delta(&e, "T", Insert, &["c".into(), "d".into()]);
+        let d = delta(&e, "T", &args(&["c", "d"]));
         match d {
             CalcExpr::AggSum { group, .. } => assert_eq!(group, vec!["R_B".to_string()]),
             other => panic!("expected AggSum, got {other}"),
@@ -263,7 +267,7 @@ mod tests {
             var: "total".into(),
             body: Box::new(body),
         };
-        let d = delta(&lift, "BIDS", Insert, &["p".into(), "v".into()]);
+        let d = delta(&lift, "BIDS", &args(&["p", "v"]));
         match &d {
             CalcExpr::Sum(ts) => {
                 assert_eq!(ts.len(), 2);
@@ -271,12 +275,12 @@ mod tests {
             }
             other => panic!("expected new-minus-old, got {other}"),
         }
-        assert!(delta(&lift, "ASKS", Insert, &["p".into(), "v".into()]).is_zero());
+        assert!(delta(&lift, "ASKS", &args(&["p", "v"])).is_zero());
     }
 
     #[test]
-    fn trigger_args_are_readable_and_collision_free() {
+    fn trigger_args_are_readable_and_end_with_the_weight() {
         let args = trigger_args("R", &["A".into(), "B".into()]);
-        assert_eq!(args, vec!["r_a".to_string(), "r_b".to_string()]);
+        assert_eq!(args, vec!["r_a", "r_b", WEIGHT]);
     }
 }

@@ -485,6 +485,19 @@ impl CalcExpr {
         !self.relations().is_empty()
     }
 
+    /// Number of base-relation atoms in the expression, counted with
+    /// repetition (a self-join has degree 2). Every map a delta of the
+    /// expression reads has a strictly lower degree.
+    pub fn degree(&self) -> usize {
+        match self {
+            CalcExpr::Rel { .. } => 1,
+            CalcExpr::Val(_) | CalcExpr::Cmp { .. } | CalcExpr::MapRef { .. } => 0,
+            CalcExpr::Prod(es) | CalcExpr::Sum(es) => es.iter().map(CalcExpr::degree).sum(),
+            CalcExpr::Neg(e) | CalcExpr::Exists(e) => e.degree(),
+            CalcExpr::AggSum { body, .. } | CalcExpr::Lift { body, .. } => body.degree(),
+        }
+    }
+
     /// Rename variables throughout the expression. Group lists, relation
     /// columns, map keys and lift variables are renamed too; the caller is
     /// responsible for avoiding capture (all callers rename to globally

@@ -10,8 +10,8 @@
 //!   lifting for nested aggregates and `Exists`,
 //! * [`translate`] — translation of analyzed SQL queries into calculus
 //!   map definitions,
-//! * [`delta`] — the delta transformation for inserts and deletes on base
-//!   relations,
+//! * [`delta`] — the delta transformation for a weighted single-tuple
+//!   event on a base relation (weight `+1` insert, `−1` delete),
 //! * [`simplify`] — polynomial normalization, unification of equality
 //!   constraints, factorization out of `AggSum`, and the other rewrite
 //!   rules that make recursive compilation produce asymptotically simpler
@@ -26,7 +26,7 @@ pub mod simplify;
 pub mod translate;
 
 pub use canon::{canonical_form, canonical_key_order};
-pub use delta::{delta, trigger_args};
+pub use delta::{delta, trigger_args, WEIGHT};
 pub use expr::{CalcExpr, CmpOp, ValExpr, Var};
 pub use simplify::{simplify, to_polynomial, Polynomial, Term};
 pub use translate::{translate_query, AggSpec, QueryCalc, ResultColumn};

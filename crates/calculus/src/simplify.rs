@@ -559,7 +559,7 @@ fn same_pin(a: &Value, b: &Value) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbtoaster_common::EventKind::Insert;
+    use crate::delta::WEIGHT;
 
     fn protected(vars: &[&str]) -> BTreeSet<Var> {
         vars.iter().map(|s| s.to_string()).collect()
@@ -661,8 +661,8 @@ mod tests {
     #[test]
     fn figure2_insert_r_simplifies_to_a_times_a_single_aggregation() {
         let def = figure2_definition();
-        let d = crate::delta::delta(&def, "R", Insert, &["a".into(), "b".into()]);
-        let p = to_polynomial(&d, &protected(&["a", "b"]));
+        let d = crate::delta::delta(&def, "R", &["a".into(), "b".into(), WEIGHT.into()]);
+        let p = to_polynomial(&d, &protected(&["a", "b", WEIGHT]));
         assert_eq!(
             p.terms.len(),
             1,
@@ -671,9 +671,11 @@ mod tests {
         );
         let term = &p.terms[0];
         assert_eq!(term.coeff, Value::ONE);
-        // Factors: Val(a) pulled out of the aggregation + the residual AggSum.
-        assert_eq!(term.factors.len(), 2, "factors: {:?}", term.factors);
+        // Factors: the weight and Val(a) pulled out of the aggregation +
+        // the residual AggSum.
+        assert_eq!(term.factors.len(), 3, "factors: {:?}", term.factors);
         let rendered: Vec<String> = term.factors.iter().map(|f| f.to_string()).collect();
+        assert!(rendered.contains(&WEIGHT.to_string()), "{rendered:?}");
         assert!(rendered.contains(&"a".to_string()), "{rendered:?}");
         let agg = rendered.iter().find(|s| s.starts_with("AggSum")).unwrap();
         assert!(
@@ -690,8 +692,8 @@ mod tests {
     #[test]
     fn figure2_insert_s_eliminates_the_join() {
         let def = figure2_definition();
-        let d = crate::delta::delta(&def, "S", Insert, &["s_b".into(), "s_c".into()]);
-        let p = to_polynomial(&d, &protected(&["s_b", "s_c"]));
+        let d = crate::delta::delta(&def, "S", &["s_b".into(), "s_c".into(), WEIGHT.into()]);
+        let p = to_polynomial(&d, &protected(&["s_b", "s_c", WEIGHT]));
         assert_eq!(p.terms.len(), 1);
         let term = &p.terms[0];
         // One aggregation over R and one over T — the join between them is
@@ -708,17 +710,15 @@ mod tests {
     }
 
     #[test]
-    fn delete_events_produce_negative_coefficients() {
+    fn the_event_weight_is_a_factor_not_a_coefficient() {
         let def = figure2_definition();
-        let d = crate::delta::delta(
-            &def,
-            "R",
-            dbtoaster_common::EventKind::Delete,
-            &["a".into(), "b".into()],
-        );
-        let p = to_polynomial(&d, &protected(&["a", "b"]));
+        let d = crate::delta::delta(&def, "R", &["a".into(), "b".into(), WEIGHT.into()]);
+        let p = to_polynomial(&d, &protected(&["a", "b", WEIGHT]));
         assert_eq!(p.terms.len(), 1);
-        assert_eq!(p.terms[0].coeff, Value::Int(-1));
+        assert_eq!(p.terms[0].coeff, Value::ONE);
+        assert!(p.terms[0]
+            .factors
+            .contains(&CalcExpr::Val(ValExpr::var(WEIGHT))));
     }
 
     #[test]
@@ -866,8 +866,8 @@ mod tests {
     #[test]
     fn simplified_expression_size_shrinks() {
         let def = figure2_definition();
-        let d = crate::delta::delta(&def, "R", Insert, &["a".into(), "b".into()]);
-        let s = simplify(&d, &protected(&["a", "b"]));
+        let d = crate::delta::delta(&def, "R", &["a".into(), "b".into(), WEIGHT.into()]);
+        let s = simplify(&d, &protected(&["a", "b", WEIGHT]));
         assert!(s.size() < d.size(), "{} !< {}", s.size(), d.size());
     }
 }

@@ -20,7 +20,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// The multiplicity sign carried by this event kind.
+    /// The multiplicity sign carried by this event kind: a trigger's `w`.
     pub fn sign(&self) -> i64 {
         match self {
             EventKind::Insert => 1,
@@ -28,7 +28,8 @@ impl EventKind {
         }
     }
 
-    /// Short label used in trigger names (`on_insert_R`, `on_delete_R`).
+    /// Short label used in the CSV archive's operation column
+    /// (`insert`, `delete`); trigger names carry no kind.
     pub fn label(&self) -> &'static str {
         match self {
             EventKind::Insert => "insert",

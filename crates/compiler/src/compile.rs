@@ -4,11 +4,13 @@
 //! [`TriggerProgram`] by the workflow of the paper's Section 3:
 //!
 //! 1. translate the query into top-level map definitions (calculus),
-//! 2. for every map definition and every (relation, insert/delete) event,
-//!    take the **delta** of the definition, **simplify** it with the map
+//! 2. for every map definition and every relation it reads, take the
+//!    **delta** of the definition for a weighted event on that relation
+//!    (weight `w`: `+1` insert, `−1` delete), **simplify** it with the map
 //!    algebra rules, and **materialize** the relation-bearing pieces of
 //!    the result as new maps,
-//! 3. emit an update statement per delta term into the event's trigger,
+//! 3. emit an update statement per delta term into the relation's one
+//!    trigger,
 //! 4. recursively compile the newly created maps (their definitions have
 //!    strictly fewer base-relation atoms, so the recursion terminates),
 //!    sharing maps across event handlers via canonical forms.
@@ -43,6 +45,7 @@
 //!   The equivalence suite uses it as an independent implementation to
 //!   cross-check the hierarchy.
 
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
@@ -51,7 +54,7 @@ use dbtoaster_calculus::{
     canonical_form, canonical_key_order, delta, to_polynomial, translate_query, CalcExpr,
     QueryCalc, Term, ValExpr, Var,
 };
-use dbtoaster_common::{Catalog, Error, EventKind, FxHashMap, Result, Value};
+use dbtoaster_common::{Catalog, Error, FxHashMap, Result, Value};
 use dbtoaster_sql::{analyze, parse_query, BoundQuery};
 
 use crate::hierarchy::{rewrite_nested_definition, ChildMaterializer};
@@ -207,20 +210,26 @@ impl Compiler {
             self.compile_map(&name, depth)?;
         }
 
-        // Deterministic trigger order: by relation, inserts before deletes.
-        self.triggers.sort_by(|a, b| {
-            (a.relation.clone(), a.event != EventKind::Insert)
-                .cmp(&(b.relation.clone(), b.event != EventKind::Insert))
-        });
+        // Deterministic trigger order: by relation.
+        self.triggers.sort_by(|a, b| a.relation.cmp(&b.relation));
         // Within a trigger, statements run in ascending stage order:
         // hierarchy retract statements (which must observe every input
-        // pre-event) first, then the delta phase (whose own pre-event
-        // reads are preserved by the stable sort: within stage 0 the
-        // worklist order — parents before the children they read — is
-        // kept), then hierarchy rebuild and legacy `Replace` statements,
-        // both of which must observe fully post-event inputs.
+        // pre-event) first, then the delta phase, then hierarchy rebuild
+        // and legacy `Replace` statements, both of which must observe
+        // fully post-event inputs. Delta statements read pre-event state
+        // and only maps of lower degree than their target's, so the delta
+        // phase runs higher-degree targets first (stably): every read of a
+        // map precedes that map's update.
+        let degree: FxHashMap<&str, usize> = self
+            .maps
+            .iter()
+            .map(|m| (m.name.as_str(), m.definition.degree()))
+            .collect();
         for t in &mut self.triggers {
-            t.statements.sort_by_key(|s| s.stage);
+            t.statements.sort_by_key(|s| {
+                let delta_degree = (s.stage == STAGE_DELTA).then(|| degree[s.target.as_str()]);
+                (s.stage, Reverse(delta_degree))
+            });
         }
         Ok(())
     }
@@ -245,8 +254,8 @@ impl Compiler {
             && self.options.nested == NestedStrategy::Hierarchy
             && self.options.max_depth.is_none();
 
-        // The retract/rebuild bracket is the same for every trigger of
-        // the map; extract the children once.
+        // The retract/rebuild bracket is the same for every relation's
+        // trigger; extract the children once.
         let bracket = if use_hierarchy {
             Some(self.hierarchy_brackets(&decl, depth)?)
         } else {
@@ -258,19 +267,16 @@ impl Compiler {
             let columns: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
             let args = dbtoaster_calculus::trigger_args(rel_name, &columns);
 
-            for event in [EventKind::Insert, EventKind::Delete] {
-                let statements = match &bracket {
-                    Some(pair) => pair.clone(),
-                    None if nested => {
-                        // Legacy re-evaluation strategy.
-                        vec![self.replace_statement(&decl, depth)?]
-                    }
-                    None => self.delta_statements(&decl, rel_name, event, &args, depth)?,
-                };
-                if statements.is_empty() {
-                    continue;
+            let statements = match &bracket {
+                Some(pair) => pair.clone(),
+                None if nested => {
+                    // Legacy re-evaluation strategy.
+                    vec![self.replace_statement(&decl, depth)?]
                 }
-                self.push_statements(rel_name, event, &args, statements);
+                None => self.delta_statements(&decl, rel_name, &args, depth)?,
+            };
+            if !statements.is_empty() {
+                self.push_statements(rel_name, &args, statements);
             }
         }
         Ok(())
@@ -307,30 +313,16 @@ impl Compiler {
         Ok(statements)
     }
 
-    fn push_statements(
-        &mut self,
-        relation: &str,
-        event: EventKind,
-        args: &[Var],
-        statements: Vec<Statement>,
-    ) {
-        if let Some(t) = self
-            .triggers
-            .iter_mut()
-            .find(|t| t.relation == relation && t.event == event)
-        {
-            for s in statements {
-                if !t.statements.contains(&s) {
-                    t.statements.push(s);
-                }
-            }
-        } else {
-            self.triggers.push(Trigger {
+    /// Append a map's statements to the relation's trigger, equal ones
+    /// included: a self-join's two equal first-order terms are two updates.
+    fn push_statements(&mut self, relation: &str, args: &[Var], statements: Vec<Statement>) {
+        match self.triggers.iter_mut().find(|t| t.relation == relation) {
+            Some(t) => t.statements.extend(statements),
+            None => self.triggers.push(Trigger {
                 relation: relation.to_string(),
-                event,
                 args: args.to_vec(),
                 statements,
-            });
+            }),
         }
     }
 
@@ -339,11 +331,10 @@ impl Compiler {
         &mut self,
         decl: &MapDecl,
         relation: &str,
-        event: EventKind,
         args: &[Var],
         depth: usize,
     ) -> Result<Vec<Statement>> {
-        let d = delta(&decl.definition, relation, event, args);
+        let d = delta(&decl.definition, relation, args);
         if d.is_zero() {
             return Ok(Vec::new());
         }
@@ -566,7 +557,7 @@ impl Compiler {
             ordered_keys: Vec::new(),
         });
         // Base maps are maintained by the ordinary delta path (their delta
-        // is simply ±1 at the inserted/deleted key).
+        // is simply the weight `w` at the event's key).
         self.worklist.push((name.clone(), 0));
         Ok(name)
     }
@@ -622,10 +613,10 @@ mod tests {
     const RST: &str = "select sum(A*D) from R, S, T where R.B=S.B and S.C=T.C";
 
     #[test]
-    fn figure2_full_compilation_produces_six_triggers_and_auxiliary_maps() {
+    fn figure2_full_compilation_produces_three_triggers_and_auxiliary_maps() {
         let p = compile_sql(RST, &rst_catalog(), &CompileOptions::full()).unwrap();
-        // 3 relations x {insert, delete}.
-        assert_eq!(p.triggers.len(), 6);
+        // One weighted trigger per relation.
+        assert_eq!(p.triggers.len(), 3);
         // Figure 2 materializes q plus qD[b], qA[b], qD[c], qA[c], q1[b,c]
         // — with sharing, 6 maps in total (no base-relation copies).
         assert_eq!(p.maps.len(), 6, "{}", p.pretty());
@@ -637,9 +628,9 @@ mod tests {
                 assert_eq!(s.kind, StatementKind::Update);
             }
         }
-        // The insert-into-R handler updates q via a single map lookup
-        // (q += a * qD[b]) plus maintenance of the auxiliary maps.
-        let on_r = p.trigger("R", EventKind::Insert).unwrap();
+        // The R handler updates q via a single map lookup
+        // (q += w * a * qD[b]) plus maintenance of the auxiliary maps.
+        let on_r = p.trigger("R").unwrap();
         assert!(on_r.statements.iter().any(|s| s.target == "Q"));
         assert!(on_r.statements.len() >= 2);
     }
@@ -676,14 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_handlers_mirror_insert_handlers() {
-        let p = compile_sql(RST, &rst_catalog(), &CompileOptions::full()).unwrap();
-        let ins = p.trigger("R", EventKind::Insert).unwrap();
-        let del = p.trigger("R", EventKind::Delete).unwrap();
-        assert_eq!(ins.statements.len(), del.statements.len());
-    }
-
-    #[test]
     fn first_order_compilation_keeps_base_relation_maps_only() {
         let p = compile_sql(RST, &rst_catalog(), &CompileOptions::first_order()).unwrap();
         // Result map + one BASE_ map per relation, nothing else.
@@ -692,7 +675,7 @@ mod tests {
         assert_eq!(p.maps.len(), 4);
         // Statements for Q still contain aggregations (to be evaluated by
         // iterating base maps): that is exactly classical IVM.
-        let on_r = p.trigger("R", EventKind::Insert).unwrap();
+        let on_r = p.trigger("R").unwrap();
         let q_stmt = on_r.statements.iter().find(|s| s.target == "Q").unwrap();
         assert!(!q_stmt.update.map_refs().is_empty());
         assert!(!q_stmt.update.has_relations());
@@ -708,7 +691,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.maps[0].keys.len(), 1);
-        let on_r = p.trigger("R", EventKind::Insert).unwrap();
+        let on_r = p.trigger("R").unwrap();
         assert_eq!(on_r.statements.len(), 1);
         assert_eq!(on_r.statements[0].target_keys.len(), 1);
     }
@@ -744,7 +727,7 @@ mod tests {
         assert!(p.maps.iter().all(|m| !m.is_base_relation), "{}", p.pretty());
         // The nested result map is maintained by a retract/rebuild
         // bracket around the children's delta phase.
-        let on_ins = p.trigger("BIDS", EventKind::Insert).unwrap();
+        let on_ins = p.trigger("BIDS").unwrap();
         let stages: Vec<i32> = on_ins.statements.iter().map(|s| s.stage).collect();
         assert!(stages.contains(&STAGE_RETRACT), "{stages:?}");
         assert!(stages.contains(&STAGE_DELTA), "{stages:?}");
@@ -775,7 +758,7 @@ mod tests {
         )
         .unwrap();
         assert!(p.maps.iter().any(|m| m.is_base_relation));
-        let on_ins = p.trigger("BIDS", EventKind::Insert).unwrap();
+        let on_ins = p.trigger("BIDS").unwrap();
         assert!(on_ins
             .statements
             .iter()
@@ -825,7 +808,7 @@ mod tests {
         let p = compile_sql(RST, &rst_catalog(), &CompileOptions::full()).unwrap();
         assert!(p.statement_count() >= 8);
         assert!(p.code_size() > p.statement_count());
-        assert!(p.pretty().contains("on_insert_R"));
+        assert!(p.pretty().contains("on_R(r_a, r_b, w):"));
     }
 
     #[test]

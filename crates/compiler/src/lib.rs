@@ -2,7 +2,8 @@
 //!
 //! This crate is the paper's primary contribution: it takes a standing
 //! SQL aggregate query and produces a *trigger program* — one handler per
-//! (base relation, insert/delete) event, each a short list of update
+//! base relation, run for inserts and deletes alike with the event's
+//! weight (`+1` / `−1`) as an argument, each a short list of update
 //! statements over in-memory map data structures — by recursively
 //! compiling deltas of deltas until no base-relation scans remain
 //! (Section 3 and Figure 2 of the paper).
@@ -26,6 +27,6 @@ pub mod program;
 
 pub use compile::{compile_query, compile_sql, CompileOptions, NestedStrategy};
 pub use program::{
-    MapDecl, Stage, Statement, StatementKind, Trigger, TriggerProgram, STAGE_DELTA, STAGE_REBUILD,
-    STAGE_RETRACT,
+    handler_name, MapDecl, Stage, Statement, StatementKind, Trigger, TriggerProgram, STAGE_DELTA,
+    STAGE_REBUILD, STAGE_RETRACT,
 };

@@ -1,15 +1,16 @@
 //! The compiled artifact: maps, triggers, statements.
 //!
 //! A [`TriggerProgram`] is the calculus-level equivalent of the C++ the
-//! paper generates — one event handler per (relation, insert/delete),
-//! each a list of [`Statement`]s that update in-memory maps, plus the
+//! paper generates — one event handler per relation, run for inserts and
+//! deletes alike with the event's weight as an argument, each a list of
+//! [`Statement`]s that update in-memory maps, plus the
 //! declarations of those maps and a description of how to read the query
 //! result back out of them. The runtime crate lowers this program into a
 //! slot-based executable form; [`crate::codegen`] pretty-prints it as
 //! Rust source.
 
 use dbtoaster_calculus::{canonical_form, CalcExpr, QueryCalc, Var};
-use dbtoaster_common::{Catalog, EventKind, FxHashMap};
+use dbtoaster_common::{Catalog, FxHashMap};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -146,22 +147,30 @@ impl fmt::Display for Statement {
     }
 }
 
-/// An event handler: all statements to run for one (relation, event kind).
+/// An event handler: all statements to run for an event on one relation,
+/// insert or delete.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trigger {
     pub relation: String,
-    pub event: EventKind,
-    /// Trigger argument variables, one per column of `relation`.
+    /// Trigger argument variables: one per column of `relation`, then
+    /// the event weight ([`dbtoaster_calculus::WEIGHT`]: `+1` for an
+    /// insert, `−1` for a delete).
     pub args: Vec<Var>,
     pub statements: Vec<Statement>,
 }
 
 impl Trigger {
-    /// Handler name as it would appear in generated code
-    /// (`on_insert_R`, `on_delete_BIDS`, ...).
+    /// Handler name as it would appear in generated code (`on_R`,
+    /// `on_BIDS`, ...).
     pub fn handler_name(&self) -> String {
-        format!("on_{}_{}", self.event.label(), self.relation)
+        handler_name(&self.relation)
     }
+}
+
+/// Name of the handler for events on `relation`, as generated code and
+/// the profilers label it.
+pub fn handler_name(relation: &str) -> String {
+    format!("on_{relation}")
 }
 
 impl fmt::Display for Trigger {
@@ -181,7 +190,7 @@ pub struct TriggerProgram {
     pub sql: Option<String>,
     /// Every map the runtime must allocate, in dependency-friendly order.
     pub maps: Vec<MapDecl>,
-    /// Event handlers, one per (stream relation, event kind).
+    /// Event handlers, one per stream relation.
     pub triggers: Vec<Trigger>,
     /// Result descriptors (group columns, aggregate columns and the maps
     /// backing them) from the calculus translation.
@@ -221,11 +230,9 @@ impl TriggerProgram {
         }
     }
 
-    /// Find the trigger for a (relation, event) pair.
-    pub fn trigger(&self, relation: &str, event: EventKind) -> Option<&Trigger> {
-        self.triggers
-            .iter()
-            .find(|t| t.relation == relation && t.event == event)
+    /// Find the trigger for events on `relation`.
+    pub fn trigger(&self, relation: &str) -> Option<&Trigger> {
+        self.triggers.iter().find(|t| t.relation == relation)
     }
 
     /// Total number of statements across all triggers — the "generated
@@ -286,12 +293,11 @@ mod tests {
         assert_eq!(st.to_string(), "Q[] += (r_a * QD[r_b])");
         let trig = Trigger {
             relation: "R".into(),
-            event: EventKind::Insert,
-            args: vec!["r_a".into(), "r_b".into()],
+            args: vec!["r_a".into(), "r_b".into(), "w".into()],
             statements: vec![st],
         };
-        assert_eq!(trig.handler_name(), "on_insert_R");
-        assert!(trig.to_string().contains("on_insert_R(r_a, r_b):"));
+        assert_eq!(trig.handler_name(), "on_R");
+        assert!(trig.to_string().contains("on_R(r_a, r_b, w):"));
     }
 
     #[test]

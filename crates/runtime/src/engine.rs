@@ -15,8 +15,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use dbtoaster_common::{Error, Event, EventKind, FxHashMap, Result, Tuple, Value};
-use dbtoaster_compiler::TriggerProgram;
+use dbtoaster_common::{Error, Event, Result, Tuple, Value};
+use dbtoaster_compiler::{handler_name, TriggerProgram};
 use dbtoaster_telemetry::{TraceRecorder, TraceSpan, LAYER_STATEMENT};
 
 use crate::lower::{lower_program, Block, ExecProgram, ResultColumnSpec, Scalar};
@@ -60,7 +60,8 @@ pub struct Engine {
     exec: ExecProgram,
     maps: Vec<MapStorage>,
     events_processed: u64,
-    trigger_stats: FxHashMap<(String, EventKind), (u64, Duration)>,
+    /// (events, time) per trigger, indexed like `exec.triggers`.
+    trigger_stats: Vec<(u64, Duration)>,
     compile_time: Duration,
     profile: Option<StmtProfile>,
     /// Statement-evaluation buffers, reused across every event this
@@ -92,10 +93,10 @@ impl Engine {
         }
         Ok(Engine {
             program: program.clone(),
+            trigger_stats: vec![(0, Duration::ZERO); exec.triggers.len()],
             exec,
             maps,
             events_processed: 0,
-            trigger_stats: FxHashMap::default(),
             compile_time: started.elapsed(),
             profile: None,
             scratch: EventScratch::default(),
@@ -123,34 +124,30 @@ impl Engine {
     /// Process a single update-stream event.
     pub fn on_event(&mut self, event: &Event) -> Result<()> {
         let started = Instant::now();
-        if !self.apply_event(event)? {
-            // Relations unknown to the query are ignored (the paper's
-            // runtime registers handlers only for referenced streams).
-            self.events_processed += 1;
-            return Ok(());
-        }
+        // Relations unknown to the query run no trigger (the paper's
+        // runtime registers handlers only for referenced streams).
+        let trigger = self.apply_event(event)?;
         self.events_processed += 1;
-        let entry = self
-            .trigger_stats
-            .entry((event.relation.clone(), event.kind))
-            .or_insert((0, Duration::ZERO));
-        entry.0 += 1;
-        entry.1 += started.elapsed();
+        if let Some(t) = trigger {
+            let stat = &mut self.trigger_stats[t];
+            stat.0 += 1;
+            stat.1 += started.elapsed();
+        }
         Ok(())
     }
 
     /// Process a whole batch of events through the triggers, paying the
     /// per-event overheads once per batch instead of once per event — the
-    /// engine half of the view server's batched ingestion path. Three
-    /// costs are amortized: clock reads (two per batch instead of two per
-    /// event), per-trigger stat updates (aggregated per batch), and the
-    /// statement-evaluation scratch buffers (the slot environment and
-    /// update staging vector are reused across every event of the batch
-    /// instead of being allocated per statement). Statement application
-    /// and event order are identical to calling [`Engine::on_event`] in a
-    /// loop; only profiling granularity differs: per-trigger *counts*
-    /// stay exact, but the measured time is attributed to the batch's
-    /// first (relation, kind) pair rather than split per trigger.
+    /// engine half of the view server's batched ingestion path. Two costs
+    /// are amortized: clock reads (two per batch instead of two per
+    /// event) and the statement-evaluation scratch buffers (the slot
+    /// environment and update staging vector are reused across every
+    /// event of the batch instead of being allocated per statement).
+    /// Statement application and event order are identical to calling
+    /// [`Engine::on_event`] in a loop; only profiling granularity differs:
+    /// per-trigger *counts* stay exact, but the measured time is
+    /// attributed to the batch's first trigger rather than split per
+    /// trigger.
     ///
     /// Returns the number of events absorbed (the whole batch, unless an
     /// arity error aborts mid-batch).
@@ -159,55 +156,31 @@ impl Engine {
         events: impl IntoIterator<Item = &'a Event>,
     ) -> Result<usize> {
         let started = Instant::now();
-        // Trigger keys are few; a linear probe avoids the per-event
-        // String clone a hash-map entry key would cost.
-        let mut counts: Vec<((String, EventKind), u64)> = Vec::new();
+        // The trigger charged with the batch's time.
+        let mut timed = None;
         let mut absorbed = 0usize;
-        let mut failure = None;
-        for event in events {
-            match self.apply_event(event) {
-                Ok(true) => {
-                    match counts
-                        .iter_mut()
-                        .find(|((r, k), _)| *k == event.kind && *r == event.relation)
-                    {
-                        Some((_, n)) => *n += 1,
-                        None => counts.push(((event.relation.clone(), event.kind), 1)),
-                    }
-                }
-                Ok(false) => {}
-                Err(e) => {
-                    // Stop at the bad event, but still flush the stats of
-                    // the events already absorbed so the batch and
-                    // per-event paths agree on counters after an error.
-                    failure = Some(e);
-                    break;
-                }
+        // Stop at a bad event, keeping the counts of the events before it.
+        let outcome = events.into_iter().try_for_each(|event| {
+            if let Some(t) = self.apply_event(event)? {
+                self.trigger_stats[t].0 += 1;
+                timed.get_or_insert(t);
             }
             self.events_processed += 1;
             absorbed += 1;
+            Ok(())
+        });
+        if let Some(t) = timed {
+            self.trigger_stats[t].1 += started.elapsed();
         }
-        let elapsed = started.elapsed();
-        let mut first = true;
-        for (key, count) in counts {
-            let entry = self.trigger_stats.entry(key).or_insert((0, Duration::ZERO));
-            entry.0 += count;
-            if first {
-                entry.1 += elapsed;
-                first = false;
-            }
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok(absorbed),
-        }
+        outcome.map(|()| absorbed)
     }
 
     /// Run the trigger for one event, without touching counters or the
-    /// clock. Returns `false` when no trigger references the relation.
-    /// The engine's own scratch provides the statement-evaluation
-    /// buffers, so neither the per-event nor the batched path allocates.
-    fn apply_event(&mut self, event: &Event) -> Result<bool> {
+    /// clock. Returns the index of the trigger that ran, `None` when no
+    /// trigger references the relation. The engine's own scratch provides
+    /// the statement-evaluation buffers, so neither the per-event nor the
+    /// batched path allocates.
+    fn apply_event(&mut self, event: &Event) -> Result<Option<usize>> {
         let hooks = StmtHooks {
             profile: self.profile.as_ref(),
             spans: None,
@@ -305,12 +278,12 @@ impl Engine {
     /// statements — hierarchy-bracket targets (`Q += F(children)`) and
     /// legacy `Replace` targets — from the currently loaded inputs. Each
     /// target's statements are run once, from a single trigger (the
-    /// bracket is identical in every trigger of the map). Completes a
+    /// bracket is identical in every relation's trigger). Completes a
     /// warm start: load the flat maps with [`Engine::load_map`], then
     /// call this to make the nested results consistent.
     pub fn rebuild_derived(&mut self) -> Result<()> {
         let mut done: Vec<usize> = Vec::new();
-        for (_, trigger) in &self.exec.triggers {
+        for trigger in &self.exec.triggers {
             let pending: Vec<&crate::lower::ExecStatement> = trigger
                 .statements
                 .iter()
@@ -325,7 +298,7 @@ impl Engine {
             let EventScratch { env, updates } = &mut self.scratch;
             for stmt in &pending {
                 env.clear();
-                run_statement(stmt, self.maps.as_mut_slice(), env, updates);
+                run_statement(stmt, self.maps.as_mut_slice(), env, updates, 1);
             }
             for stmt in pending {
                 if !done.contains(&stmt.target) {
@@ -349,11 +322,12 @@ impl Engine {
     /// Build the profiling report (experiment E5).
     pub fn profile(&self) -> ProfileReport {
         let mut per_trigger: Vec<(String, u64, Duration)> = self
-            .trigger_stats
+            .exec
+            .triggers
             .iter()
-            .map(|((rel, kind), (count, time))| {
-                (format!("on_{}_{}", kind.label(), rel), *count, *time)
-            })
+            .zip(&self.trigger_stats)
+            .filter(|(_, (count, _))| *count > 0)
+            .map(|(t, &(count, time))| (handler_name(&t.relation), count, time))
             .collect();
         per_trigger.sort();
         let per_map: Vec<(String, usize, usize)> = self
@@ -454,7 +428,7 @@ impl StmtProfile {
     pub fn for_program(exec: &ExecProgram) -> StmtProfile {
         let mut bases = Vec::with_capacity(exec.triggers.len());
         let mut total = 0usize;
-        for (_, t) in &exec.triggers {
+        for t in &exec.triggers {
             bases.push(total);
             total += t.statements.len();
         }
@@ -478,7 +452,7 @@ impl StmtProfile {
     /// a map-rebound equivalent — trigger/statement order is identical).
     pub fn entries(&self, exec: &ExecProgram) -> Vec<StmtProfileEntry> {
         let mut out = Vec::new();
-        for (ti, ((relation, kind), trigger)) in exec.triggers.iter().enumerate() {
+        for (ti, trigger) in exec.triggers.iter().enumerate() {
             for (si, stmt) in trigger.statements.iter().enumerate() {
                 let slot = self.bases[ti] + si;
                 let runs = self.runs[slot].load(Ordering::Relaxed);
@@ -486,7 +460,7 @@ impl StmtProfile {
                     continue;
                 }
                 out.push(StmtProfileEntry {
-                    trigger: format!("on_{}_{}", kind.label(), relation),
+                    trigger: handler_name(&trigger.relation),
                     stage: stmt.stage,
                     target: exec.map_names[stmt.target].clone(),
                     rendered: stmt.rendered.clone(),
@@ -503,7 +477,7 @@ impl StmtProfile {
     /// `dbt_stmt_nanos_total{view,stage}`.
     pub fn stage_totals(&self, exec: &ExecProgram) -> Vec<(dbtoaster_compiler::Stage, u64, u64)> {
         let mut out: Vec<(dbtoaster_compiler::Stage, u64, u64)> = Vec::new();
-        for (ti, (_, trigger)) in exec.triggers.iter().enumerate() {
+        for (ti, trigger) in exec.triggers.iter().enumerate() {
             for (si, stmt) in trigger.statements.iter().enumerate() {
                 let slot = self.bases[ti] + si;
                 let runs = self.runs[slot].load(Ordering::Relaxed);
@@ -528,7 +502,7 @@ impl StmtProfile {
 /// One row of a statement profile snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StmtProfileEntry {
-    /// Trigger label, e.g. `on_insert_BIDS`.
+    /// Trigger label, e.g. `on_BIDS`.
     pub trigger: String,
     /// Execution stage (−1 retract, 0 delta, +1 rebuild).
     pub stage: dbtoaster_compiler::Stage,
@@ -580,10 +554,12 @@ impl StmtHooks<'_> {
 /// This is the execution core shared by the embedded [`Engine`] (which
 /// passes its own `Vec<MapStorage>`) and the view server (which passes a
 /// write frame into the shared map store, a phase, and a skip list for
-/// statements whose shared target another view maintains). Returns
-/// `false` when no trigger references the event's relation; counters and
-/// clocks are the caller's business, except the per-statement clocks
-/// that `hooks` may request.
+/// statements whose shared target another view maintains). The event's
+/// tuple and then its weight (`+1` insert, `−1` delete) fill the leading
+/// environment slots. Returns the index of the trigger that ran, `None`
+/// when no trigger references the event's relation; counters and clocks
+/// are the caller's business, except the per-statement clocks that
+/// `hooks` may request.
 pub fn apply_event_statements<M: MapWrite + ?Sized>(
     exec: &ExecProgram,
     maps: &mut M,
@@ -592,21 +568,27 @@ pub fn apply_event_statements<M: MapWrite + ?Sized>(
     phase: StatementPhase,
     skip_targets: Option<&[bool]>,
     hooks: StmtHooks<'_>,
-) -> Result<bool> {
-    let Some((trigger_idx, trigger)) = exec.trigger_indexed(&event.relation, event.kind) else {
-        return Ok(false);
+) -> Result<Option<usize>> {
+    let Some((trigger_idx, trigger)) = exec.trigger_indexed(&event.relation) else {
+        return Ok(None);
     };
-    if event.tuple.arity() != trigger.event_args {
+    let arity = trigger.event_args;
+    if event.tuple.arity() != arity {
         return Err(Error::Runtime(format!(
-            "event on {} has arity {}, expected {}",
+            "event on {} has arity {}, expected {arity}",
             event.relation,
             event.tuple.arity(),
-            trigger.event_args
         )));
     }
+    let weight = event.kind.sign();
 
     let timing = hooks.profile.is_some() || hooks.spans.is_some();
     let EventScratch { env, updates } = scratch;
+    // The argument slots are set once per event: statements only read
+    // them (lowering binds assignments and loop keys to later slots).
+    env.clear();
+    env.extend_from_slice(&event.tuple);
+    env.push(Value::Int(weight));
     for (stmt_idx, stmt) in trigger.statements.iter().enumerate() {
         if !phase.runs(stmt.stage) {
             continue;
@@ -614,11 +596,16 @@ pub fn apply_event_statements<M: MapWrite + ?Sized>(
         if skip_targets.is_some_and(|s| s.get(stmt.target).copied().unwrap_or(false)) {
             continue;
         }
-        env.clear();
+        env.truncate(arity + 1);
         env.resize(stmt.slots, Value::ZERO);
-        env[..event.tuple.arity()].clone_from_slice(&event.tuple);
         let started = timing.then(Instant::now);
-        run_statement(stmt, maps, env, updates);
+        run_statement(
+            stmt,
+            maps,
+            env,
+            updates,
+            weight.wrapping_pow(stmt.weight_power),
+        );
         if let Some(started) = started {
             let nanos = started.elapsed().as_nanos() as u64;
             if let Some(profile) = hooks.profile {
@@ -640,7 +627,7 @@ pub fn apply_event_statements<M: MapWrite + ?Sized>(
         }
     }
 
-    Ok(true)
+    Ok(Some(trigger_idx))
 }
 
 /// Execute one lowered statement against the maps. The caller provides
@@ -648,12 +635,14 @@ pub fn apply_event_statements<M: MapWrite + ?Sized>(
 /// populated and sized to `stmt.slots`; bootstrap callers
 /// ([`Engine::rebuild_derived`]) pass a zeroed environment, which is
 /// valid for post-stage statements because they reference no trigger
-/// arguments.
+/// arguments. Every update is multiplied by `scale`, the statement's power
+/// of the event weight, unless that is 1 (always, for an insert).
 fn run_statement<M: MapWrite + ?Sized>(
     stmt: &crate::lower::ExecStatement,
     maps: &mut M,
     env: &mut Vec<Value>,
     updates: &mut Vec<(Tuple, Value)>,
+    scale: i64,
 ) {
     if env.len() < stmt.slots {
         env.resize(stmt.slots, Value::ZERO);
@@ -684,6 +673,11 @@ fn run_statement<M: MapWrite + ?Sized>(
     }
     let target = stmt.target;
     for (key, value) in updates.drain(..) {
+        let value = if scale == 1 {
+            value
+        } else {
+            value.mul(&Value::Int(scale))
+        };
         maps.map_mut(target).add(key, value);
     }
 }
@@ -1343,7 +1337,7 @@ mod tests {
         assert!(report
             .per_trigger
             .iter()
-            .any(|(n, c, _)| n == "on_insert_R" && *c == 1));
+            .any(|(n, c, _)| n == "on_R" && *c == 1));
     }
 
     #[test]
@@ -1386,9 +1380,9 @@ mod tests {
                 .map(|(_, c, _)| *c)
         };
         let bp = batched.profile();
-        assert_eq!(count_of(&bp, "on_insert_R"), Some(2));
-        assert_eq!(count_of(&bp, "on_delete_R"), Some(1));
-        assert_eq!(count_of(&bp, "on_insert_S"), Some(1));
+        assert_eq!(count_of(&bp, "on_R"), Some(3));
+        assert_eq!(count_of(&bp, "on_S"), Some(1));
+        assert_eq!(count_of(&bp, "on_T"), Some(1));
     }
 
     #[test]
@@ -1406,7 +1400,7 @@ mod tests {
         assert!(report
             .per_trigger
             .iter()
-            .any(|(n, c, _)| n == "on_insert_R" && *c == 1));
+            .any(|(n, c, _)| n == "on_R" && *c == 1));
     }
 
     #[test]
@@ -1434,7 +1428,7 @@ mod tests {
             .exec_program()
             .triggers
             .iter()
-            .flat_map(|(_, t)| &t.statements)
+            .flat_map(|t| &t.statements)
             .filter(|s| s.stage > 0)
             .map(|s| replayed.exec_program().map_names[s.target].clone())
             .collect();

@@ -19,7 +19,7 @@
 use std::collections::BTreeSet;
 
 use dbtoaster_calculus::{CalcExpr, CmpOp, ResultColumn, ValExpr, Var};
-use dbtoaster_common::{Error, EventKind, FxHashMap, Result, Value};
+use dbtoaster_common::{Error, FxHashMap, Result, Value};
 use dbtoaster_compiler::{Stage, Statement, StatementKind, TriggerProgram};
 
 /// Scalar expressions over environment slots.
@@ -166,12 +166,18 @@ pub struct ExecStatement {
     /// O(log² P) execution plan when the statement matches the
     /// monotone-guard interval shape; `block` remains the fallback.
     pub interval: Option<IntervalPlan>,
+    /// Factors of the event weight `w` taken out of `block.value`; each
+    /// update is multiplied by `w^weight_power` when that is not 1.
+    pub weight_power: u32,
 }
 
-/// A compiled trigger: all statements for one (relation, event kind).
+/// A compiled trigger: all statements for events on one relation.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompiledTrigger {
     pub relation: String,
+    /// Number of tuple columns an event must carry. The tuple fills the
+    /// first `event_args` environment slots and the event's weight (`+1`
+    /// insert, `−1` delete) the slot after them.
     pub event_args: usize,
     pub statements: Vec<ExecStatement>,
 }
@@ -219,7 +225,8 @@ pub struct ExecProgram {
     /// Ordered-index key positions required per map (range-aggregation
     /// probes, monotone-guard interval plans).
     pub ordered: Vec<Vec<usize>>,
-    pub triggers: Vec<((String, EventKind), CompiledTrigger)>,
+    /// One trigger per relation, in the compiled program's order.
+    pub triggers: Vec<CompiledTrigger>,
     pub result: ResultSpec,
     /// Names of base relations that have at least one trigger.
     pub relations: Vec<String>,
@@ -227,16 +234,9 @@ pub struct ExecProgram {
     /// snapshot paths). Authoritative when non-empty; an empty index
     /// falls back to a scan of `map_names`.
     pub map_index: FxHashMap<String, usize>,
-    /// Precomputed (relation → [insert, delete]) trigger lookup into
-    /// `triggers` (hot on the per-event dispatch path).
-    pub trigger_index: FxHashMap<String, [Option<usize>; 2]>,
-}
-
-fn event_slot(event: EventKind) -> usize {
-    match event {
-        EventKind::Insert => 0,
-        EventKind::Delete => 1,
-    }
+    /// Precomputed relation → trigger lookup into `triggers` (hot on the
+    /// per-event dispatch path).
+    pub trigger_index: FxHashMap<String, usize>,
 }
 
 impl ExecProgram {
@@ -249,29 +249,23 @@ impl ExecProgram {
         }
     }
 
-    /// The compiled trigger for an event, if any.
-    pub fn trigger(&self, relation: &str, event: EventKind) -> Option<&CompiledTrigger> {
-        self.trigger_indexed(relation, event).map(|(_, t)| t)
+    /// The compiled trigger for events on `relation`, if any.
+    pub fn trigger(&self, relation: &str) -> Option<&CompiledTrigger> {
+        self.trigger_indexed(relation).map(|(_, t)| t)
     }
 
-    /// The compiled trigger for an event together with its index into
-    /// `triggers`. The index is a stable program-wide trigger identity:
-    /// rebinding map ids ([`ExecProgram::with_remapped_maps`]) preserves
-    /// trigger order, so profilers can key statement stats on
+    /// The compiled trigger for events on `relation` together with its
+    /// index into `triggers`. The index is a stable program-wide trigger
+    /// identity: rebinding map ids ([`ExecProgram::with_remapped_maps`])
+    /// preserves trigger order, so profilers and counters can key on
     /// `(trigger index, statement index)` across both forms.
-    pub fn trigger_indexed(
-        &self,
-        relation: &str,
-        event: EventKind,
-    ) -> Option<(usize, &CompiledTrigger)> {
+    pub fn trigger_indexed(&self, relation: &str) -> Option<(usize, &CompiledTrigger)> {
         let i = if self.trigger_index.is_empty() {
-            self.triggers
-                .iter()
-                .position(|((r, e), _)| r == relation && *e == event)?
+            self.triggers.iter().position(|t| t.relation == relation)?
         } else {
-            self.trigger_index.get(relation)?[event_slot(event)]?
+            *self.trigger_index.get(relation)?
         };
-        Some((i, &self.triggers[i].1))
+        Some((i, &self.triggers[i]))
     }
 
     /// Rebuild both lookup indexes from the current `map_names` and
@@ -283,10 +277,7 @@ impl ExecProgram {
             .enumerate()
             .map(|(i, n)| (n.clone(), i))
             .collect();
-        self.trigger_index = FxHashMap::default();
-        for (i, ((relation, event), _)) in self.triggers.iter().enumerate() {
-            self.trigger_index.entry(relation.clone()).or_default()[event_slot(*event)] = Some(i);
-        }
+        self.trigger_index = trigger_index(&self.triggers);
     }
 
     /// Rebind every map id through `slot_of` (local id → store slot),
@@ -314,19 +305,14 @@ impl ExecProgram {
             triggers: self
                 .triggers
                 .iter()
-                .map(|(key, t)| {
-                    (
-                        key.clone(),
-                        CompiledTrigger {
-                            relation: t.relation.clone(),
-                            event_args: t.event_args,
-                            statements: t
-                                .statements
-                                .iter()
-                                .map(|s| remap_statement(s, slot_of))
-                                .collect(),
-                        },
-                    )
+                .map(|t| CompiledTrigger {
+                    relation: t.relation.clone(),
+                    event_args: t.event_args,
+                    statements: t
+                        .statements
+                        .iter()
+                        .map(|s| remap_statement(s, slot_of))
+                        .collect(),
                 })
                 .collect(),
             result: ResultSpec {
@@ -375,11 +361,18 @@ impl ExecProgram {
         };
         // Trigger order is unchanged by rebinding; rebuild the index
         // rather than trusting the source program had one.
-        for (i, ((relation, event), _)) in out.triggers.iter().enumerate() {
-            out.trigger_index.entry(relation.clone()).or_default()[event_slot(*event)] = Some(i);
-        }
+        out.trigger_index = trigger_index(&out.triggers);
         out
     }
+}
+
+/// Relation → position in `triggers`.
+fn trigger_index(triggers: &[CompiledTrigger]) -> FxHashMap<String, usize> {
+    triggers
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (t.relation.clone(), i))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -395,6 +388,7 @@ fn remap_statement(stmt: &ExecStatement, slot_of: &[usize]) -> ExecStatement {
         block: remap_block(&stmt.block, slot_of),
         slots: stmt.slots,
         rendered: stmt.rendered.clone(),
+        weight_power: stmt.weight_power,
         interval: stmt.interval.as_ref().map(|p| IntervalPlan {
             outer_map: slot_of[p.outer_map],
             key_slot: p.key_slot,
@@ -512,7 +506,8 @@ pub fn lower_program(program: &TriggerProgram) -> Result<ExecProgram> {
     for trigger in &program.triggers {
         let mut compiled = CompiledTrigger {
             relation: trigger.relation.clone(),
-            event_args: trigger.args.len(),
+            // Every argument but the trailing weight is a tuple column.
+            event_args: trigger.args.len() - 1,
             statements: Vec::new(),
         };
         for statement in &trigger.statements {
@@ -522,8 +517,7 @@ pub fn lower_program(program: &TriggerProgram) -> Result<ExecProgram> {
         if !exec.relations.contains(&trigger.relation) {
             exec.relations.push(trigger.relation.clone());
         }
-        exec.triggers
-            .push(((trigger.relation.clone(), trigger.event), compiled));
+        exec.triggers.push(compiled);
     }
 
     exec.result = lower_result(program, &exec)?;
@@ -668,7 +662,10 @@ fn lower_statement(
             let s = lowerer.slot_of(a);
             lowerer.bound[s] = true;
         }
-        let (block, key_scalars) = build_block(&mut lowerer, term, &statement.target_keys, true)?;
+        let (mut block, key_scalars) =
+            build_block(&mut lowerer, term, &statement.target_keys, true)?;
+        // The weight, the last trigger argument, has the last argument slot.
+        let weight_power = hoist_weight(&mut block, args.len() - 1);
         let interval = plan_interval(&block, &key_scalars);
         if let Some(plan) = &interval {
             // The fast path also ranges over the *outer* map; make sure
@@ -687,9 +684,28 @@ fn lower_statement(
             slots: lowerer.slots.len(),
             rendered: statement.to_string(),
             interval,
+            weight_power,
         });
     }
     Ok(out)
+}
+
+/// Take every factor `Slot(weight_slot)` out of a statement block's
+/// top-level value product and return how many were taken.
+fn hoist_weight(block: &mut Block, weight_slot: usize) -> u32 {
+    let mut factors = match block.value.take() {
+        Some(Scalar::Mul(factors)) => factors,
+        value => value.into_iter().collect(),
+    };
+    let before = factors.len();
+    factors.retain(|f| *f != Scalar::Slot(weight_slot));
+    let taken = (before - factors.len()) as u32;
+    block.value = Some(match factors.len() {
+        0 => Scalar::Const(Value::ONE),
+        1 => factors.pop().expect("one factor"),
+        _ => Scalar::Mul(factors),
+    });
+    taken
 }
 
 /// Sign of `d(inner range sum)/d(outer key)` for an inner comparison
@@ -1575,11 +1591,11 @@ mod tests {
         .unwrap();
         let exec = lower_program(&p).unwrap();
         assert_eq!(exec.map_names.len(), 6);
-        // Every (relation, event) pair has a compiled trigger.
-        assert_eq!(exec.triggers.len(), 6);
-        // The R-insert trigger: q update is straight-line (no loops), the
+        // Every relation has one compiled trigger.
+        assert_eq!(exec.triggers.len(), 3);
+        // The R trigger: q update is straight-line (no loops), the
         // qA[c] update loops over the q1 slice (the paper's foreach).
-        let on_r = exec.trigger("R", EventKind::Insert).unwrap();
+        let on_r = exec.trigger("R").unwrap();
         assert!(on_r.statements.iter().any(|s| s.block.loops.is_empty()));
         assert!(on_r.statements.iter().any(|s| !s.block.loops.is_empty()));
         // The foreach loop registered a secondary-index pattern on q1.
@@ -1600,7 +1616,7 @@ mod tests {
         )
         .unwrap();
         let exec = lower_program(&p).unwrap();
-        let on_r = exec.trigger("R", EventKind::Insert).unwrap();
+        let on_r = exec.trigger("R").unwrap();
         let q_stmt = &on_r.statements[0];
         // Evaluating the residual join needs at least one loop.
         assert!(!q_stmt.block.loops.is_empty());
@@ -1615,10 +1631,14 @@ mod tests {
         )
         .unwrap();
         let exec = lower_program(&p).unwrap();
-        let on_r = exec.trigger("R", EventKind::Insert).unwrap();
+        let on_r = exec.trigger("R").unwrap();
         assert_eq!(on_r.statements.len(), 1);
         assert_eq!(on_r.statements[0].keys.len(), 1);
         assert!(on_r.statements[0].block.loops.is_empty());
+        // `Q[r_b] += w * r_a`: the weight (slot 2, after the two columns)
+        // is hoisted out of the per-binding value.
+        assert_eq!(on_r.statements[0].weight_power, 1);
+        assert_eq!(on_r.statements[0].block.value, Some(Scalar::Slot(0)));
     }
 
     #[test]

@@ -89,7 +89,9 @@ use dbtoaster_common::{
     Catalog, Error, Event, EventBatch, EventKind, EventSource, FxHashMap, FxHashSet, Result, Tuple,
     Value,
 };
-use dbtoaster_compiler::{compile_sql, CompileOptions, Stage, TriggerProgram, STAGE_DELTA};
+use dbtoaster_compiler::{
+    compile_sql, handler_name, CompileOptions, Stage, TriggerProgram, STAGE_DELTA,
+};
 use dbtoaster_runtime::{
     apply_event_statements, assemble_result, lower_program, ordered_fallback, result_column_names,
     EventScratch, ExecProgram, FramePlan, LockWaitMetrics, MapRead, MapRegistration, MapWrite,
@@ -122,13 +124,15 @@ struct AuditPre {
     events_before: u64,
 }
 
-/// One per-(relation, kind) ingestion counter of a view. The set of
-/// trigger keys is fixed at registration, so updates are plain atomic
-/// adds — no lock, no map insertion — performed while the group write
-/// locks are held so snapshots observe counts and maps move together.
+/// One per-trigger ingestion counter of a view, indexed like the view's
+/// `exec.triggers`. The set of triggers is fixed at registration, so
+/// updates are plain atomic adds — no lock, no map insertion — performed
+/// while the group write locks are held so snapshots observe counts and
+/// maps move together.
 struct TriggerStat {
-    relation: String,
-    kind: EventKind,
+    /// How many statements the dedup skips each time the trigger fires
+    /// (static; × `count` = writes saved).
+    skipped: u64,
     count: AtomicU64,
     nanos: AtomicU64,
 }
@@ -291,15 +295,12 @@ struct View {
     plan: FramePlan,
     /// Store slot → skip statements targeting it (non-maintained shares).
     skip: Vec<bool>,
-    /// Per (relation, kind): how many statements the dedup skips each
-    /// time that trigger fires (static; × trigger count = writes saved).
-    skipped_per_trigger: FxHashMap<(String, EventKind), u64>,
     compile_time: Duration,
     /// Events delivered to (and absorbed by) this view. A registry
     /// counter (`dbt_view_events_total{view=...}`), so the scraped
     /// series and every snapshot/profile read the same atomic.
     events_processed: Arc<Counter>,
-    /// Fixed-key per-trigger counters (one per compiled trigger).
+    /// Per-trigger counters, indexed like `exec.triggers`.
     trigger_stats: Vec<TriggerStat>,
     /// Cumulative per-statement self-profile (nanos + runs, relaxed
     /// atomics shared across ingestion workers). Credited whenever
@@ -314,26 +315,13 @@ struct View {
 }
 
 impl View {
-    /// Credit `n` absorbed events and `nanos` of processing time to the
-    /// (relation, kind) trigger. Called with the group write locks held.
-    fn record(&self, relation: &str, kind: EventKind, n: u64, nanos: u64) {
+    /// Credit `n` absorbed events and `nanos` of processing time to
+    /// trigger `trigger`. Called with the group write locks held.
+    fn record(&self, trigger: usize, n: u64, nanos: u64) {
         self.events_processed.add(n);
-        if let Some(stat) = self
-            .trigger_stats
-            .iter()
-            .find(|s| s.kind == kind && s.relation == relation)
-        {
-            stat.count.fetch_add(n, Ordering::Relaxed);
-            stat.nanos.fetch_add(nanos, Ordering::Relaxed);
-        }
-    }
-
-    fn trigger_count(&self, relation: &str, kind: EventKind) -> u64 {
-        self.trigger_stats
-            .iter()
-            .find(|s| s.kind == kind && s.relation == relation)
-            .map(|s| s.count.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        let stat = &self.trigger_stats[trigger];
+        stat.count.fetch_add(n, Ordering::Relaxed);
+        stat.nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 }
 
@@ -398,13 +386,13 @@ struct TraceSpanCtx<'a> {
 #[derive(Default)]
 pub(crate) struct ApplyCtx {
     scratch: EventScratch,
-    /// Staged (view, relation, kind, absorbed) counter rows of the
-    /// current batch, flushed into the views' atomics at the end.
-    counts: Vec<(usize, String, EventKind, u64)>,
+    /// Staged (view, trigger, absorbed) counter rows of the current
+    /// batch, flushed into the views' atomics at the end.
+    counts: Vec<(usize, usize, u64)>,
     /// Scratch for the batch lock plan (union of relation groups).
     groups: Vec<usize>,
-    /// Views of the current event that absorbed it.
-    delivered: Vec<usize>,
+    /// (view, trigger) pairs that absorbed the current event.
+    delivered: Vec<(usize, usize)>,
 }
 
 /// A consistent per-view result capture from [`ViewServer::snapshot_all`].
@@ -686,24 +674,19 @@ impl ViewServer {
         let exec = local.with_remapped_maps(&binding.slots, self.store.slot_count());
         let skip = binding.skip_targets(self.store.slot_count());
 
-        let mut skipped_per_trigger: FxHashMap<(String, EventKind), u64> = FxHashMap::default();
-        let mut trigger_stats = Vec::new();
-        for (key, trigger) in &exec.triggers {
-            let skipped = trigger
-                .statements
-                .iter()
-                .filter(|s| skip.get(s.target).copied().unwrap_or(false))
-                .count() as u64;
-            if skipped > 0 {
-                skipped_per_trigger.insert(key.clone(), skipped);
-            }
-            trigger_stats.push(TriggerStat {
-                relation: key.0.clone(),
-                kind: key.1,
+        let trigger_stats = exec
+            .triggers
+            .iter()
+            .map(|trigger| TriggerStat {
+                skipped: trigger
+                    .statements
+                    .iter()
+                    .filter(|s| skip.get(s.target).copied().unwrap_or(false))
+                    .count() as u64,
                 count: AtomicU64::new(0),
                 nanos: AtomicU64::new(0),
-            });
-        }
+            })
+            .collect();
 
         // Dispatch: route events of each referenced relation here.
         let relations: FxHashSet<String> = program
@@ -741,7 +724,6 @@ impl ViewServer {
             binding,
             plan,
             skip,
-            skipped_per_trigger,
             compile_time: started.elapsed(),
             events_processed: self.metrics.registry.counter(
                 "dbt_view_events_total",
@@ -781,24 +763,21 @@ impl ViewServer {
             plan.stages.clear();
             plan.stages.push((STAGE_DELTA, plan.views.clone()));
             for &i in &plan.views {
-                let view = &self.views[i];
-                for kind in [EventKind::Insert, EventKind::Delete] {
-                    let Some(trigger) = view.exec.trigger(relation, kind) else {
+                let Some(trigger) = self.views[i].exec.trigger(relation) else {
+                    continue;
+                };
+                for statement in &trigger.statements {
+                    let stage = statement.stage;
+                    if stage == STAGE_DELTA {
                         continue;
-                    };
-                    for statement in &trigger.statements {
-                        let stage = statement.stage;
-                        if stage == STAGE_DELTA {
-                            continue;
-                        }
-                        match plan.stages.iter_mut().find(|(s, _)| *s == stage) {
-                            Some((_, views)) => {
-                                if !views.contains(&i) {
-                                    views.push(i);
-                                }
+                    }
+                    match plan.stages.iter_mut().find(|(s, _)| *s == stage) {
+                        Some((_, views)) => {
+                            if !views.contains(&i) {
+                                views.push(i);
                             }
-                            None => plan.stages.push((stage, vec![i])),
                         }
+                        None => plan.stages.push((stage, vec![i])),
                     }
                 }
             }
@@ -848,9 +827,9 @@ impl ViewServer {
     /// before the next stage begins, so hierarchy retract statements
     /// observe every shared input pre-event and rebuild / re-evaluation
     /// statements observe fully post-event inputs, regardless of which
-    /// view maintains a shared map. `delivered` receives the views whose
-    /// triggers absorbed the event (detected on the delta stage, which
-    /// covers all interested views).
+    /// view maintains a shared map. `delivered` receives the (view,
+    /// trigger) pairs that absorbed the event (detected on the delta
+    /// stage, which covers all interested views).
     ///
     /// With `timed` set, a multi-stage plan brackets each stage pass
     /// with its own clock and credits the plan's stage counters — the
@@ -866,7 +845,7 @@ impl ViewServer {
         frame: &mut M,
         event: &Event,
         scratch: &mut EventScratch,
-        delivered: &mut Vec<usize>,
+        delivered: &mut Vec<(usize, usize)>,
         timed: bool,
         trace: Option<&TraceSpanCtx<'_>>,
     ) -> Result<()> {
@@ -885,7 +864,7 @@ impl ViewServer {
                         tid: t.tid,
                     }),
                 };
-                let absorbed = apply_event_statements(
+                let trigger = apply_event_statements(
                     &view.exec,
                     frame,
                     event,
@@ -894,8 +873,8 @@ impl ViewServer {
                     Some(&view.skip),
                     hooks,
                 )?;
-                if *stage == STAGE_DELTA && absorbed {
-                    delivered.push(i);
+                if let (STAGE_DELTA, Some(t)) = (*stage, trigger) {
+                    delivered.push((i, t));
                 }
             }
             if let Some(started) = stage_started {
@@ -1027,7 +1006,7 @@ impl ViewServer {
         event: &Event,
         seq: u64,
         frame: &M,
-        span_counts: &[(usize, String, EventKind, u64)],
+        span_counts: &[(usize, usize, u64)],
     ) -> Option<AuditPre> {
         if !self.audit.sampled(seq) || plan.views.is_empty() {
             return None;
@@ -1049,8 +1028,8 @@ impl ViewServer {
             .collect();
         let pending: u64 = span_counts
             .iter()
-            .filter(|(v, _, _, _)| *v == index)
-            .map(|(_, _, _, n)| *n)
+            .filter(|(v, _, _)| *v == index)
+            .map(|(_, _, n)| *n)
             .sum();
         Some(AuditPre {
             view: index,
@@ -1291,18 +1270,14 @@ impl ViewServer {
                     }
                 }
                 if let Some(pre) = audit {
-                    let delivered = ctx.delivered.contains(&pre.view);
+                    let delivered = ctx.delivered.iter().any(|&(v, _)| v == pre.view);
                     self.audit_post(pre, &frame, delivered);
                 }
                 deliveries += ctx.delivered.len();
-                for &i in &ctx.delivered {
-                    match ctx
-                        .counts
-                        .iter_mut()
-                        .find(|(v, r, k, _)| *v == i && *k == event.kind && *r == event.relation)
-                    {
-                        Some((_, _, _, n)) => *n += 1,
-                        None => ctx.counts.push((i, event.relation.clone(), event.kind, 1)),
+                for &(i, t) in &ctx.delivered {
+                    match ctx.counts.iter_mut().find(|(v, u, _)| *v == i && *u == t) {
+                        Some((_, _, n)) => *n += 1,
+                        None => ctx.counts.push((i, t, 1)),
                     }
                 }
             }
@@ -1316,9 +1291,9 @@ impl ViewServer {
         // price of one clock read per batch).
         let batch_nanos = started.elapsed().as_nanos() as u64;
         let per_delivery = batch_nanos / deliveries.max(1) as u64;
-        for (view, relation, kind, n) in ctx.counts.drain(..) {
+        for (view, trigger, n) in ctx.counts.drain(..) {
             let v = &self.views[view];
-            v.record(&relation, kind, n, per_delivery * n);
+            v.record(trigger, n, per_delivery * n);
             if let Some(seq) = last_seq {
                 v.watermark.set_max(seq as i64);
             }
@@ -1424,10 +1399,11 @@ impl ViewServer {
         let mut per_trigger: Vec<(String, u64, Duration)> = view
             .trigger_stats
             .iter()
-            .filter(|s| s.count.load(Ordering::Relaxed) > 0)
-            .map(|s| {
+            .zip(&view.exec.triggers)
+            .filter(|(s, _)| s.count.load(Ordering::Relaxed) > 0)
+            .map(|(s, t)| {
                 (
-                    format!("on_{}_{}", s.kind.label(), s.relation),
+                    handler_name(&t.relation),
                     s.count.load(Ordering::Relaxed),
                     Duration::from_nanos(s.nanos.load(Ordering::Relaxed)),
                 )
@@ -1596,8 +1572,9 @@ impl ViewServer {
             });
         }
         for view in &self.views {
-            for ((relation, kind), skipped) in &view.skipped_per_trigger {
-                report.dedup_skipped_statements += view.trigger_count(relation, *kind) * skipped;
+            for stat in &view.trigger_stats {
+                report.dedup_skipped_statements +=
+                    stat.count.load(Ordering::Relaxed) * stat.skipped;
             }
         }
         self.metrics.store_bytes.set(report.total_bytes as i64);

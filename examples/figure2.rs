@@ -1,9 +1,12 @@
 //! Reproduction of the paper's Figure 2: the recursive compilation of
 //! `select sum(A*D) from R, S, T where R.B = S.B and S.C = T.C`.
 //!
-//! Prints the table of (event, delta statement, maps used, map
-//! definition) produced by recursive compilation, followed by the
-//! generated Rust handlers (the analog of the C++ listing in Section 3).
+//! Prints the maps and the event handlers produced by recursive
+//! compilation, followed by the generated Rust handlers (the analog of the
+//! C++ listing in Section 3). The paper lists insert handlers only; each
+//! handler here serves inserts and deletes of its relation, taking the
+//! event's weight `w` (`+1` insert, `−1` delete) as its last argument, so
+//! the paper's `on_insert_R(a, b)` is `on_R(r_a, r_b, w)` at `w = 1`.
 //!
 //! ```text
 //! cargo run --example figure2
@@ -39,7 +42,7 @@ fn main() {
         );
     }
 
-    println!("\n== Figure 2: event handlers (delta statements) ==");
+    println!("\n== Figure 2: event handlers, one per relation (delta statements) ==");
     for trigger in &program.triggers {
         println!("{trigger}");
     }

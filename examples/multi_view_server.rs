@@ -72,14 +72,10 @@ fn main() {
             name,
             program.maps.len(),
             program.triggers.len(),
-            server
-                .program(name)
-                .unwrap()
+            program
                 .triggers
                 .iter()
-                .map(|t| t.relation.clone())
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
+                .map(|t| t.relation.as_str())
                 .collect::<Vec<_>>()
                 .join("/")
         );

@@ -2,9 +2,10 @@
 //!
 //! A SQL compiler for high-performance delta processing in main-memory
 //! databases: standing aggregate queries are *recursively* compiled into
-//! trigger programs — one short handler per (relation, insert/delete)
-//! event — over in-memory map data structures, so that each update is
-//! absorbed by a few hash-map operations instead of a query re-run.
+//! trigger programs — one short handler per relation, run for inserts
+//! and deletes alike with the event's weight (`+1` / `−1`) — over
+//! in-memory map data structures, so that each update is absorbed by a
+//! few hash-map operations instead of a query re-run.
 //!
 //! This crate is the facade over the workspace:
 //!
@@ -234,7 +235,7 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].values[1], Value::Float(15.0));
         assert_eq!(q.column_names().len(), 3);
-        assert!(q.generated_source().contains("on_insert_ORDERS"));
+        assert!(q.generated_source().contains("fn on_ORDERS("));
         assert!(q.profile().statement_count > 0);
     }
 }

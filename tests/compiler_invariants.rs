@@ -1,21 +1,27 @@
-//! Compiler invariants over every workload query, under full and depth-2
-//! compilation: no program materializes one map twice — not even under a
-//! permutation of its keys — and no generated map or statement keeps two
-//! constant pins on one variable (`[P_MFGR = 'MFGR#1'] * [P_MFGR =
-//! 'MFGR#2']` is identically zero and must be folded away, not
-//! maintained). SSB Q4.1's map and statement counts are pinned at what
-//! those two rules bring it to.
+//! Compiler invariants over every workload query, under every compile
+//! mode: each program has one weighted trigger per relation; within a
+//! trigger's delta stage no statement reads a map an earlier statement
+//! wrote (delta statements read pre-event state); no program materializes
+//! one map twice — not even under a permutation of its keys — and no
+//! generated map or statement keeps two constant pins on one variable
+//! (`[P_MFGR = 'MFGR#1'] * [P_MFGR = 'MFGR#2']` is identically zero and
+//! must be folded away, not maintained). SSB Q4.1's map and statement
+//! counts are pinned at what those rules bring it to.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use dbtoaster::calculus::{canonical_form, canonical_key_order, CalcExpr, CmpOp, ValExpr};
-use dbtoaster::compiler::{compile_sql, CompileOptions, TriggerProgram};
+use dbtoaster::calculus::{canonical_form, canonical_key_order, CalcExpr, CmpOp, ValExpr, WEIGHT};
+use dbtoaster::compiler::{compile_sql, CompileOptions, TriggerProgram, STAGE_DELTA};
 use dbtoaster::prelude::*;
 use dbtoaster::workloads::orderbook::{finance_queries, orderbook_catalog, VWAP_NESTED};
 use dbtoaster::workloads::tpch::{ssb_catalog, SSB_Q41, SSB_REVENUE_BY_YEAR};
 
 /// The paper's Figure-2 query.
 const RST: &str = "select sum(A*D) from R, S, T where R.B = S.B and S.C = T.C";
+
+/// A self-join with two aggregates: the second result map's delta
+/// statements join a trigger the first already filled.
+const SELF_JOIN: &str = "select count(*), sum(r1.A * r2.A) from R r1, R r2 where r1.B = r2.B";
 
 fn rst_catalog() -> Catalog {
     Catalog::new()
@@ -33,7 +39,8 @@ fn rst_catalog() -> Catalog {
         ))
 }
 
-/// Every workload query compiled in full and to depth 2, labelled.
+/// Every workload query, Figure 2 and a two-aggregate self-join compiled
+/// under every mode, labelled.
 fn programs() -> Vec<(String, TriggerProgram)> {
     let mut queries: Vec<(&str, &str, Catalog)> = finance_queries()
         .into_iter()
@@ -43,11 +50,14 @@ fn programs() -> Vec<(String, TriggerProgram)> {
     queries.push(("ssb_q41", SSB_Q41, ssb_catalog()));
     queries.push(("ssb_revenue_by_year", SSB_REVENUE_BY_YEAR, ssb_catalog()));
     queries.push(("figure2", RST, rst_catalog()));
+    queries.push(("self_join", SELF_JOIN, rst_catalog()));
     let mut out = Vec::new();
     for (name, sql, catalog) in queries {
         for (mode, options) in [
             ("full", CompileOptions::full()),
+            ("depth 1", CompileOptions::with_depth(1)),
             ("depth 2", CompileOptions::with_depth(2)),
+            ("nested replace", CompileOptions::nested_replace()),
         ] {
             let program = compile_sql(sql, &catalog, &options).unwrap();
             out.push((format!("{name} ({mode})"), program));
@@ -145,11 +155,50 @@ fn no_generated_map_or_statement_pins_a_variable_twice() {
 }
 
 #[test]
-fn ssb_q41_compiles_to_at_most_50_maps_and_314_statements() {
+fn every_program_has_one_weighted_trigger_per_relation() {
+    for (label, program) in programs() {
+        let mut relations = BTreeSet::new();
+        for trigger in &program.triggers {
+            assert!(
+                relations.insert(&trigger.relation),
+                "{label}: two triggers for {}",
+                trigger.relation
+            );
+            assert_eq!(
+                trigger.args.last().map(String::as_str),
+                Some(WEIGHT),
+                "{label}: {} does not take the event weight",
+                trigger.handler_name()
+            );
+        }
+    }
+}
+
+#[test]
+fn no_delta_statement_reads_a_map_an_earlier_one_wrote() {
+    for (label, program) in programs() {
+        for trigger in &program.triggers {
+            let mut written = BTreeSet::new();
+            for statement in trigger.statements.iter().filter(|s| s.stage == STAGE_DELTA) {
+                for read in statement.update.map_refs() {
+                    assert!(
+                        !written.contains(&read),
+                        "{label}, {}: {read} is read after its update in `{statement}`",
+                        trigger.handler_name()
+                    );
+                }
+                written.insert(statement.target.clone());
+            }
+        }
+    }
+}
+
+#[test]
+fn ssb_q41_compiles_to_at_most_50_maps_and_157_statements() {
     let program = compile_sql(SSB_Q41, &ssb_catalog(), &CompileOptions::full()).unwrap();
     assert!(program.maps.len() <= 50, "{} maps", program.maps.len());
     assert!(
-        program.statement_count() <= 314,
+        program.statement_count() <= 157,
         "{} statements",
         program.statement_count()
     );

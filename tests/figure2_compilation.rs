@@ -76,11 +76,15 @@ fn figure2_handlers_have_the_papers_statement_structure() {
     let q = dbtoaster::StandingQuery::compile(SQL, &catalog()).unwrap();
     let program = q.program();
 
-    // Six handlers: {R, S, T} x {insert, delete}.
-    assert_eq!(program.triggers.len(), 6);
+    // Three handlers, one per relation, each taking the event's weight
+    // `w` after the tuple: the paper's insert handlers at `w = 1`.
+    assert_eq!(program.triggers.len(), 3);
+    for t in &program.triggers {
+        assert_eq!(t.args.last().map(String::as_str), Some("w"), "{t}");
+    }
 
-    // on_insert_R: q += a * qD[b]; qA[b] += a; foreach c: qA[c] += a * q1[b,c]
-    let on_r = program.trigger("R", EventKind::Insert).unwrap();
+    // on_R: q += w * a * qD[b]; qA[b] += w * a; foreach c: qA[c] += w * a * q1[b,c]
+    let on_r = program.trigger("R").unwrap();
     assert_eq!(on_r.statements.len(), 3, "{on_r}");
     assert!(on_r.statements.iter().any(|s| s.target == "Q"));
     // The q update uses exactly one map lookup (no joins, no scans).
@@ -88,42 +92,33 @@ fn figure2_handlers_have_the_papers_statement_structure() {
     assert_eq!(q_stmt.update.map_refs().len(), 1);
     assert!(!q_stmt.update.has_relations());
 
-    // on_insert_S eliminates the join entirely: q += qA[b] * qD[c].
-    let on_s = program.trigger("S", EventKind::Insert).unwrap();
+    // on_S eliminates the join entirely: q += w * qA[b] * qD[c].
+    let on_s = program.trigger("S").unwrap();
     let q_stmt = on_s.statements.iter().find(|s| s.target == "Q").unwrap();
     assert_eq!(q_stmt.update.map_refs().len(), 2, "{q_stmt}");
     assert!(!q_stmt.update.has_relations());
-    // ... and maintains q1[b, c] += 1.
+    // ... and maintains q1[b, c] += w.
     assert_eq!(on_s.statements.len(), 4, "{on_s}");
 
-    // Insert and delete handlers are symmetric (sum has an inverse).
-    for rel in ["R", "S", "T"] {
-        let ins = program.trigger(rel, EventKind::Insert).unwrap();
-        let del = program.trigger(rel, EventKind::Delete).unwrap();
-        assert_eq!(ins.statements.len(), del.statements.len());
-        for s in ins.statements.iter().chain(&del.statements) {
-            assert_eq!(s.kind, StatementKind::Update);
-        }
+    // Every statement is an incremental update scaled by the weight
+    // (a delete is the insert's delta with the opposite sign).
+    for s in program.triggers.iter().flat_map(|t| &t.statements) {
+        assert_eq!(s.kind, StatementKind::Update);
+        assert!(s.update.all_vars().contains("w"), "{s}");
     }
 
-    // Total statements: 3 (R) + 4 (S) + 3 (T), doubled for deletes.
-    assert_eq!(program.statement_count(), 20);
+    // Total statements: 3 (R) + 4 (S) + 3 (T).
+    assert_eq!(program.statement_count(), 10);
 }
 
 #[test]
 fn figure2_generated_source_mirrors_the_papers_listing() {
     let q = dbtoaster::StandingQuery::compile(SQL, &catalog()).unwrap();
     let src = q.generated_source();
-    for handler in [
-        "on_insert_R",
-        "on_insert_S",
-        "on_insert_T",
-        "on_delete_R",
-        "on_delete_S",
-        "on_delete_T",
-    ] {
+    for handler in ["fn on_R(", "fn on_S(", "fn on_T("] {
         assert!(src.contains(handler), "missing handler {handler}");
     }
+    assert!(!src.contains("on_insert") && !src.contains("on_delete"));
     // The result update is straight-line code over map entries.
     assert!(src.contains(".entry(vec![]).or_insert(0.0) +="));
 }

@@ -71,7 +71,7 @@ fn correlated_vwap_runs_on_the_interval_fast_path_without_fallbacks() {
         .exec_program()
         .triggers
         .iter()
-        .map(|(_, t)| t.statements.iter().filter(|s| s.interval.is_some()).count())
+        .map(|t| t.statements.iter().filter(|s| s.interval.is_some()).count())
         .max()
         .unwrap_or(0);
     assert!(interval_statements > 0, "no statement got an interval plan");
